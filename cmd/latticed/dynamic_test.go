@@ -2,8 +2,8 @@ package main
 
 // End-to-end coverage of the dynamic-deployment plane: the mutate
 // endpoint's full client workflow (churn, epoch tracking, delta
-// application, conflict + resync) and the debug instrumentation
-// endpoints, driven over real HTTP against exactly what main serves.
+// application, conflict + resync) and the opt-in pprof plane, driven
+// over real HTTP against exactly what main serves.
 
 import (
 	"encoding/json"
@@ -134,29 +134,21 @@ func TestMutateRoundTrip(t *testing.T) {
 		t.Fatalf("far join: status %d", status)
 	}
 
-	// Health reflects the mutation traffic.
-	hresp, err := client.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
+	// The metrics reflect the mutation traffic.
+	vals, _ := scrapeMetrics(t, client, ts.URL)
+	if live, muts, confl := vals["latticed_sessions_live"], vals["latticed_mutations_total"],
+		vals["latticed_epoch_conflicts_total"]; live != 1 || muts < 4 || confl != 1 {
+		t.Fatalf("session metrics: %v live, %v mutations, %v conflicts", live, muts, confl)
 	}
-	defer hresp.Body.Close()
-	var hr service.HealthResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&hr); err != nil {
-		t.Fatalf("health response: %v", err)
-	}
-	tr := hr.Traffic
-	if tr.Sessions.Sessions != 1 || tr.Sessions.Mutations < 4 || tr.Sessions.EpochConflicts != 1 {
-		t.Fatalf("session stats %+v", tr.Sessions)
-	}
-	if tr.MutateRequests < 7 {
-		t.Fatalf("mutate requests %d", tr.MutateRequests)
+	if n := vals[`latticed_requests_total{endpoint="mutate",codec="json"}`]; n < 7 {
+		t.Fatalf("mutate requests %v", n)
 	}
 }
 
-// TestDebugEndpoints checks the opt-in debug plane: pprof and
-// /debug/vars respond when -debug is on, and the vars page carries
-// this handler's live counters — including the plan registry's real
-// hit/miss numbers — under "latticed".
+// TestDebugEndpoints checks the opt-in debug plane: pprof responds when
+// -debug is on and only then, no /debug/vars page is served, and the
+// traffic counters — the plan registry's real hit/miss numbers among
+// them — are this handler's own /metrics series.
 func TestDebugEndpoints(t *testing.T) {
 	ts := httptest.NewServer(newHandler(daemonOptions{cache: 8, debug: true}))
 	defer ts.Close()
@@ -172,7 +164,7 @@ func TestDebugEndpoints(t *testing.T) {
 		}
 	}
 
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/vars"} {
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
 		resp, err := client.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -182,27 +174,26 @@ func TestDebugEndpoints(t *testing.T) {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
 	}
-
 	resp, err := client.Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatalf("GET /debug/vars: %v", err)
 	}
-	defer resp.Body.Close()
-	var vars struct {
-		Latticed service.ServerStats `json:"latticed"`
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Error("/debug/vars still served")
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("decoding vars page: %v", err)
+
+	vals, _ := scrapeMetrics(t, client, ts.URL)
+	if reqs, pts, plans := vals[`latticed_requests_total{endpoint="slots",codec="json"}`],
+		vals["latticed_batch_points_sum"], vals["latticed_plans"]; reqs < 2 || pts < 6 || plans < 1 {
+		t.Fatalf("batch metrics: %v requests, %v points, %v plans", reqs, pts, plans)
 	}
-	if vars.Latticed.BatchRequests < 2 || vars.Latticed.BatchPoints < 6 || vars.Latticed.Plans < 1 {
-		t.Fatalf("vars counters %+v", vars.Latticed)
-	}
-	// The registry stats are this handler's real cache traffic, not a
+	// The registry counters are this handler's real cache traffic, not a
 	// process-global approximation: one miss compiled the plan, the
 	// second request hit.
-	reg := vars.Latticed.Registry
-	if reg.Misses != 1 || reg.Compilations != 1 || reg.Hits < 1 || reg.Evictions != 0 {
-		t.Fatalf("registry stats %+v", reg)
+	if misses, comps, hits, evs := vals["latticed_registry_misses_total"], vals["latticed_registry_compilations_total"],
+		vals["latticed_registry_hits_total"], vals["latticed_registry_evictions_total"]; misses != 1 || comps != 1 || hits < 1 || evs != 0 {
+		t.Fatalf("registry metrics: %v misses, %v compilations, %v hits, %v evictions", misses, comps, hits, evs)
 	}
 
 	// The service endpoints still work through the debug mux.
@@ -213,9 +204,9 @@ func TestDebugEndpoints(t *testing.T) {
 	// Off switch: no debug endpoints without the flag.
 	plain := httptest.NewServer(newHandler(daemonOptions{cache: 8}))
 	defer plain.Close()
-	presp, err := plain.Client().Get(plain.URL + "/debug/vars")
+	presp, err := plain.Client().Get(plain.URL + "/debug/pprof/")
 	if err != nil {
-		t.Fatalf("GET /debug/vars (plain): %v", err)
+		t.Fatalf("GET /debug/pprof/ (plain): %v", err)
 	}
 	presp.Body.Close()
 	if presp.StatusCode == http.StatusOK {

@@ -37,7 +37,7 @@
 //	POST /v1/plan:subscribe     {"plan":{...},"window":{...},"epoch":12} — streams
 //	                            session deltas (ndjson, or frames under the
 //	                            binary content type) until the client leaves
-//	GET  /healthz
+//	GET  /healthz               liveness and the cached plan count
 //	GET  /metrics               Prometheus text exposition (always on):
 //	                            request/error/latency by endpoint × codec,
 //	                            phase and batch-size histograms, plan-cache
@@ -51,25 +51,23 @@
 //	GET  /debug/traces          recent request span trees as JSON (always on;
 //	                            populated when -trace-sample is set or a
 //	                            -slow-ms request forces a trace)
-//	GET  /debug/pprof/          CPU/heap/goroutine profiles (opt-in: -debug)
-//	GET  /debug/vars            JSON counters: registry hits/misses/
-//	                            evictions, batch sizes, mutation and
-//	                            session traffic under "latticed" (opt-in:
-//	                            -debug; profiles cost CPU and leak
-//	                            internals, so keep the plane off on
-//	                            untrusted networks)
+//	GET  /debug/pprof/          CPU/heap/goroutine profiles (opt-in: -debug;
+//	                            profiles cost CPU and leak internals, so
+//	                            keep them off on untrusted networks)
 //
 // Telemetry is per-handler (no process globals): every handler built by
-// newHandler carries its own metrics registry, so tests and multi-server
-// processes observe independent counters. Recording on the request path
-// is lock-free atomic adds — the 18 ns/point engine contract survives
+// newHandler carries its own metrics registry — the one counter store
+// behind /metrics and /statusz — so tests and multi-server processes
+// observe independent counters. Recording on the request path is
+// lock-free atomic adds — the 18 ns/point engine contract survives
 // instrumentation (DESIGN.md §11). -slow-ms N samples requests slower
 // than N milliseconds into the log with their decode/engine/encode
 // phase split (at most one entry per 100ms) and the ID of a span trace
-// at /debug/traces. -trace-sample N additionally records an end-to-end
-// span tree for 1 in N requests — mutate traces carry the epoch
-// timeline (overlay-apply, wal-append, hub-publish, per-subscriber
-// deliver) — joining a caller's W3C traceparent (or its binary
+// at /debug/traces, both read from the request's one phase record.
+// -trace-sample N additionally records an end-to-end span tree for 1 in
+// N requests — mutate traces carry the epoch timeline (overlay-apply,
+// wal-append, hub-publish, per-subscriber deliver) inside the engine
+// phase — joining a caller's W3C traceparent (or its binary
 // trace-extension frame) when one is propagated (DESIGN.md §14).
 //
 // Compiled plans are cached in an LRU keyed by the canonical
@@ -82,7 +80,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"log"
@@ -125,9 +122,9 @@ func logSlow(sr service.SlowRequest) {
 
 // newHandler assembles the daemon's full HTTP wiring — registry, batch
 // engine, dynamic sessions, wire layer, the always-on /metrics
-// exposition, and (when debug is set) the pprof/debug-vars plane —
-// from its knobs. Split from main so the end-to-end tests drive
-// exactly what the binary serves via httptest.
+// exposition, and (when debug is set) the pprof plane — from its
+// knobs. Split from main so the end-to-end tests drive exactly what
+// the binary serves via httptest.
 func newHandler(o daemonOptions) http.Handler {
 	h, _, err := newDaemon(o)
 	if err != nil {
@@ -196,10 +193,6 @@ func newDaemon(o daemonOptions) (http.Handler, *service.Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"latticed": srv.Snapshot()})
-	})
 	return mux, srv, nil
 }
 
@@ -216,7 +209,7 @@ func main() {
 	traceRing := flag.Int("trace-ring", 0, "recent traces retained for /debug/traces (0 = default)")
 	data := flag.String("data", "", "session data directory: mutation sessions persist (WAL + snapshots) and survive restarts (\"\" = off)")
 	fsync := flag.Bool("fsync", false, "with -data: fsync the session WAL after every mutation batch")
-	debug := flag.Bool("debug", false, "serve /debug/pprof and /debug/vars (keep off on untrusted networks)")
+	debug := flag.Bool("debug", false, "serve /debug/pprof (keep off on untrusted networks)")
 	flag.Parse()
 
 	handler, svc, err := newDaemon(daemonOptions{

@@ -67,7 +67,7 @@ func TestRestartRestoresSessions(t *testing.T) {
 	}
 
 	// Rebuild over the same directory. Restore-on-start must load both
-	// sessions before traffic: /healthz reports them live immediately.
+	// sessions before traffic: /metrics reports them live immediately.
 	h2, _, err := newDaemon(opts)
 	if err != nil {
 		t.Fatalf("newDaemon (restart): %v", err)
@@ -76,20 +76,12 @@ func TestRestartRestoresSessions(t *testing.T) {
 	defer ts2.Close()
 	client = ts2.Client()
 
-	var health service.HealthResponse
-	hresp, err := client.Get(ts2.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
+	vals, _ := scrapeMetrics(t, client, ts2.URL)
+	if live := vals["latticed_sessions_live"]; live != 2 {
+		t.Fatalf("restart lost sessions: %v live, want 2", live)
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatalf("health response: %v", err)
-	}
-	hresp.Body.Close()
-	if live := health.Traffic.Sessions.Sessions; live != 2 {
-		t.Fatalf("restart lost sessions: %d live, want 2", live)
-	}
-	if restored := health.Traffic.Sessions.Restored; restored != 2 {
-		t.Fatalf("restore-on-start restored %d sessions, want 2", restored)
+	if restored := vals["latticed_sessions_restored_total"]; restored != 2 {
+		t.Fatalf("restore-on-start restored %v sessions, want 2", restored)
 	}
 
 	gotA := mutate(t, client, ts2.URL, planA+`"full":true,"epoch":2}`)

@@ -60,7 +60,7 @@
 //   - cmd/latticed exposes the engine over compact JSON/HTTP
 //     (/v1/plan, /v1/slots:batch, /v1/maybroadcast:batch, /healthz);
 //     cmd/bench -load is the matching load generator, and -debug serves
-//     the pprof/debug-vars plane (/debug/pprof, /debug/vars).
+//     the pprof plane (/debug/pprof).
 //   - The same endpoints also speak a binary wire protocol (DESIGN.md
 //     §10), negotiated by Content-Type application/x-lattice-bin:
 //     length-prefixed frames over internal/service/binwire varint
@@ -78,10 +78,13 @@
 // histograms (Record is three atomic adds, 0 allocs), a bounded
 // space-saving top-K traffic sketch, and Prometheus text exposition
 // (v0.0.4) written without any client library. Every service.Server
-// carries its own obs.Registry — no process globals — recording
-// per-endpoint × codec requests/errors/latency, decode/engine/encode
-// phase splits, batch-size and repair-tier distributions, plan-cache
-// and session traffic, and per-plan-signature point volume. cmd/latticed
+// carries its own obs.Registry — no process globals, and no second
+// counter store — recording per-endpoint × codec
+// requests/errors/latency, decode/engine/encode phase splits,
+// batch-size and repair-tier distributions, plan-cache and session
+// traffic, and per-plan-signature point volume. One record per request
+// holds its phase boundaries, one clock read each, and feeds the phase
+// histograms, the span trace and the slow log alike. cmd/latticed
 // always serves GET /metrics; -slow-ms samples requests past a
 // threshold into the log with their phase split. The instrumentation
 // tax is pinned by alloc guards and the instrumented-vs-bare engine

@@ -114,12 +114,16 @@ func (t *Trace) Root() SpanID {
 
 // Clock returns nanoseconds elapsed since the trace started, using the
 // monotonic clock. On a nil receiver it returns 0, so call sites can
-// stamp offsets unconditionally.
+// stamp offsets unconditionally. The start is read under the trace's
+// lock: a late caller may hold a trace the recorder is recycling.
 func (t *Trace) Clock() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(time.Since(t.start))
+	t.mu.Lock()
+	start := t.start
+	t.mu.Unlock()
+	return int64(time.Since(start))
 }
 
 // Span appends a completed span with the given name and [startNs, endNs]

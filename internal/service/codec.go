@@ -7,7 +7,6 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"tilingsched/internal/core"
 	"tilingsched/internal/obs/trace"
@@ -29,7 +28,8 @@ type codec interface {
 
 	writeErr(w http.ResponseWriter, status int, msg string)
 	// writeBatch runs the engine over a dimension-checked batch of total
-	// answers and writes them, filling tr's engine and encode phases. It
+	// answers and writes them. It is called in tr's engine phase; a codec
+	// that encodes after the engine enters tr's encode phase first. It
 	// returns an engine error only while nothing has been written, so the
 	// handler can still answer it.
 	writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, tr *reqTrace) error
@@ -99,7 +99,6 @@ func (jsonCodec) writeErr(w http.ResponseWriter, status int, msg string) {
 // writeBatch builds the whole answer before encoding it: the engine
 // hands over one run of total answers, which is buf's pooled slice.
 func (jsonCodec) writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, tr *reqTrace) error {
-	engineStart := time.Now()
 	var resp any
 	var err error
 	if req.Kind == binwire.FrameBatchMay {
@@ -109,13 +108,11 @@ func (jsonCodec) writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch
 		err = answerSlots(plan, &req, total, buf, func(run []int32) bool { buf.slots = run; return true })
 		resp = SlotsResponse{M: plan.Slots(), Slots: buf.slots}
 	}
-	tr.engineNs = time.Since(engineStart)
 	if err != nil {
 		return err
 	}
-	encodeStart := time.Now()
+	tr.phase(phaseEncode)
 	writeJSON(w, http.StatusOK, resp)
-	tr.encodeNs = time.Since(encodeStart)
 	return nil
 }
 

@@ -34,38 +34,9 @@ import (
 // bitset), so the bound is deliberately far below the plan cache's.
 const DefaultMaxSessions = 16
 
-// SessionStats counts dynamic-session traffic for /healthz and expvar.
-type SessionStats struct {
-	// Sessions is the number of live sessions.
-	Sessions int `json:"sessions"`
-	// Created and Evicted count session lifecycle events; EvictedDirty
-	// is the subset of evictions that discarded (or, with persistence
-	// on, flushed) churn state — sessions past epoch 0.
-	Created      int64 `json:"created"`
-	Evicted      int64 `json:"evicted"`
-	EvictedDirty int64 `json:"evicted_dirty"`
-	// Restored counts sessions rebuilt from the data directory
-	// (restore-on-miss and restore-on-start).
-	Restored int64 `json:"restored"`
-	// Mutations counts applied mutate batches, Events the individual
-	// deployment events inside them.
-	Mutations int64 `json:"mutations"`
-	Events    int64 `json:"events"`
-	// EpochConflicts counts requests rejected for a stale epoch (409).
-	EpochConflicts int64 `json:"epoch_conflicts"`
-	// Subscribers is the number of live push-subscription streams;
-	// Subscribed counts subscriptions ever attached.
-	Subscribers int64 `json:"subscribers"`
-	Subscribed  int64 `json:"subscribed"`
-	// SubscriberDrops counts subscribers dropped for a full queue (slow
-	// consumers); SubscriberEvictions counts subscriber streams
-	// terminated because their session was evicted.
-	SubscriberDrops     int64 `json:"subscriber_drops"`
-	SubscriberEvictions int64 `json:"subscriber_evictions"`
-}
-
 // sessionTable is the LRU of live dynamic sessions. Lookup and eviction
-// hold the table lock; event application holds only the session lock.
+// hold the table lock; event application holds only the session lock,
+// and counts into the metrics registry without any table lock.
 //
 // Persistence makes per-key ordering load-bearing: a session's on-disk
 // WAL and snapshot are renamed over by first-open, periodic snapshots,
@@ -81,8 +52,7 @@ type sessionTable struct {
 	cap     int
 	entries map[string]*dynSession
 	lru     *list.List // of *dynSession
-	stats   SessionStats
-	met     *Metrics // nil in tests that build a bare table
+	met     *Metrics
 
 	// building holds one channel per key whose first build/open is in
 	// flight; concurrent misses wait on it. evicting holds one channel
@@ -99,9 +69,6 @@ type sessionTable struct {
 	// recoveries); nil discards them.
 	logf func(format string, args ...any)
 
-	// subsLive tracks live subscription streams across sessions without
-	// the table lock (attach under a session lock, detach without any).
-	subsLive atomic.Int64
 	// baseMode, when not Auto, builds session mutators over an explicit
 	// conflict-graph mode instead of the implicit periodic stencil — a
 	// test hook for the subscriber oracle's mode sweep (production
@@ -226,9 +193,9 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 	delete(st.building, key)
 	s.elem = st.lru.PushFront(s)
 	st.entries[key] = s
-	st.stats.Created++
+	st.met.sessCreated.Inc()
 	if restored {
-		st.stats.Restored++
+		st.met.sessRestored.Inc()
 	}
 	var evicted []*dynSession
 	for st.lru.Len() > st.cap {
@@ -236,29 +203,18 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 		ev := back.Value.(*dynSession)
 		st.lru.Remove(back)
 		delete(st.entries, ev.key)
-		st.stats.Evicted++
-		if st.met != nil {
-			st.met.sessEvicted.Inc()
-		}
+		st.met.sessEvicted.Inc()
 		// The eviction barrier goes up in the same critical section that
 		// removes the key, so a miss for it can never slip between
 		// removal and the flush.
 		st.evicting[ev.key] = make(chan struct{})
 		evicted = append(evicted, ev)
 	}
-	if st.met != nil {
-		st.met.sessCreated.Inc()
-		if restored {
-			st.met.sessRestored.Inc()
-		}
-		st.met.sessLive.Set(int64(st.lru.Len()))
-	}
+	st.met.sessLive.Set(int64(st.lru.Len()))
 	st.mu.Unlock()
 	close(build)
-	// Dirty-eviction bookkeeping (and the disk flush) needs the evicted
-	// session's lock, which must never be taken under the table lock —
-	// mutateCore holds session-then-table (via record), so the reverse
-	// order would deadlock.
+	// The eviction flush needs the evicted session's lock, which is never
+	// taken under the table lock: table.mu is held with no other lock.
 	for _, ev := range evicted {
 		st.finishEvict(ev)
 	}
@@ -294,10 +250,6 @@ func (st *sessionTable) finishEvict(s *dynSession) {
 	subsClosed := s.hub.closeAll(byeEvicted)
 	s.mu.Unlock()
 	st.mu.Lock()
-	if dirty {
-		st.stats.EvictedDirty++
-	}
-	st.stats.SubscriberEvictions += int64(subsClosed)
 	ch := st.evicting[s.key]
 	delete(st.evicting, s.key)
 	st.mu.Unlock()
@@ -305,16 +257,12 @@ func (st *sessionTable) finishEvict(s *dynSession) {
 		close(ch)
 	}
 	if subsClosed > 0 {
-		if st.met != nil {
-			st.met.subsEvicted.Add(uint64(subsClosed))
-		}
+		st.met.subsEvicted.Add(uint64(subsClosed))
 		st.logfSafe("latticed: evicted session %s: terminated %d subscriber(s) at epoch %d",
 			s.key, subsClosed, epoch)
 	}
 	if dirty {
-		if st.met != nil {
-			st.met.sessEvictedDirty.Inc()
-		}
+		st.met.sessEvictedDirty.Inc()
 		st.logfSafe("latticed: evicted dirty session %s at epoch %d", s.key, epoch)
 	}
 }
@@ -350,14 +298,11 @@ func (st *sessionTable) flushAll() int {
 // oracle's mode hook forces an explicit adjacency mode, that mode with
 // no residues.
 func (st *sessionTable) dynOpts(w lattice.Window) dynamic.Options {
-	opts := dynamic.Options{}
+	opts := dynamic.Options{Metrics: st.met.dyn}
 	if st.baseMode == graph.Auto {
 		opts.Residues = tiling.IdentityResidues(w.Dim())
 	} else {
 		opts.BaseMode = st.baseMode
-	}
-	if st.met != nil {
-		opts.Metrics = st.met.dyn
 	}
 	return opts
 }
@@ -366,54 +311,6 @@ func (st *sessionTable) dynOpts(w lattice.Window) dynamic.Options {
 func (st *sessionTable) logfSafe(format string, args ...any) {
 	if st.logf != nil {
 		st.logf(format, args...)
-	}
-}
-
-// snapshot returns the stats under the table lock.
-func (st *sessionTable) snapshot() SessionStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s := st.stats
-	s.Sessions = st.lru.Len()
-	s.Subscribers = st.subsLive.Load()
-	return s
-}
-
-// recordSubscribe tallies one attached subscription stream.
-func (st *sessionTable) recordSubscribe() {
-	st.subsLive.Add(1)
-	st.mu.Lock()
-	st.stats.Subscribed++
-	st.mu.Unlock()
-}
-
-// recordSubDrops tallies slow-subscriber drops (called under a session
-// lock, like record — session-then-table is the established order).
-func (st *sessionTable) recordSubDrops(n int) {
-	st.mu.Lock()
-	st.stats.SubscriberDrops += int64(n)
-	st.mu.Unlock()
-}
-
-// record tallies one applied batch.
-func (st *sessionTable) record(events int) {
-	st.mu.Lock()
-	st.stats.Mutations++
-	st.stats.Events += int64(events)
-	st.mu.Unlock()
-	if st.met != nil {
-		st.met.sessMutations.Inc()
-		st.met.sessEvents.Add(uint64(events))
-	}
-}
-
-// recordConflict tallies one stale-epoch rejection.
-func (st *sessionTable) recordConflict() {
-	st.mu.Lock()
-	st.stats.EpochConflicts++
-	st.mu.Unlock()
-	if st.met != nil {
-		st.met.sessConfl.Inc()
 	}
 }
 

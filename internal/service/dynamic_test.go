@@ -38,7 +38,7 @@ func mustWindow(t *testing.T, lo, hi []int) lattice.Window {
 // session, and the LRU evicts in order.
 func TestSessionLifecycle(t *testing.T) {
 	plan := testPlan(t)
-	st := newSessionTable(2, nil)
+	st := newSessionTable(2, newServerMetrics(ServerOptions{}))
 	w1 := mustWindow(t, []int{0, 0}, []int{4, 4})
 	s1, err := st.get(plan, w1)
 	if err != nil {
@@ -64,8 +64,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil || again != s1 {
 		t.Fatalf("same key returned a different session (%v)", err)
 	}
-	if st.snapshot().Created != 1 {
-		t.Fatalf("stats %+v", st.snapshot())
+	if n := st.met.sessCreated.Load(); n != 1 {
+		t.Fatalf("%d sessions created, want 1", n)
 	}
 	// Two more windows overflow capacity 2 and evict w1.
 	if _, err := st.get(plan, mustWindow(t, []int{0, 0}, []int{1, 1})); err != nil {
@@ -74,9 +74,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if _, err := st.get(plan, mustWindow(t, []int{0, 0}, []int{2, 2})); err != nil {
 		t.Fatal(err)
 	}
-	snap := st.snapshot()
-	if snap.Sessions != 2 || snap.Evicted != 1 || snap.Created != 3 {
-		t.Fatalf("LRU stats %+v", snap)
+	if live, ev, cr := st.met.sessLive.Load(), st.met.sessEvicted.Load(), st.met.sessCreated.Load(); live != 2 || ev != 1 || cr != 3 {
+		t.Fatalf("LRU counters: %d live, %d evicted, %d created; want 2, 1, 3", live, ev, cr)
 	}
 	fresh, err := st.get(plan, w1)
 	if err != nil {
@@ -137,22 +136,6 @@ func TestDecodeMutateRequest(t *testing.T) {
 	}
 }
 
-// TestServerStatsCounters checks Snapshot moves with traffic (the expvar
-// source of cmd/latticed).
-func TestServerStatsCounters(t *testing.T) {
-	s := NewServer(NewRegistry(4), ServerOptions{})
-	if snap := s.Snapshot(); snap.BatchRequests != 0 || snap.MutateRequests != 0 {
-		t.Fatalf("fresh snapshot %+v", snap)
-	}
-	s.batchRequests.Add(2)
-	s.batchPoints.Add(2048)
-	s.mutateRequests.Add(1)
-	snap := s.Snapshot()
-	if snap.BatchRequests != 2 || snap.BatchPoints != 2048 || snap.MutateRequests != 1 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-}
-
 // TestMutateConcurrency hammers one session from many goroutines under
 // the race detector: the table lock and per-session mutex must fully
 // serialize mutations, and the epoch must count exactly the applied
@@ -184,9 +167,8 @@ func TestMutateConcurrency(t *testing.T) {
 		}(wkr)
 	}
 	wg.Wait()
-	snap := s.Snapshot()
-	want := int64(workers * rounds * 2)
-	if snap.Sessions.Mutations != want || snap.Sessions.Events != want {
-		t.Fatalf("session stats %+v, want %d mutations/events", snap.Sessions, want)
+	want := uint64(workers * rounds * 2)
+	if muts, evs := s.met.sessMutations.Load(), s.met.sessEvents.Load(); muts != want || evs != want {
+		t.Fatalf("%d mutations, %d events; want %d each", muts, evs, want)
 	}
 }

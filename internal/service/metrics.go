@@ -2,12 +2,13 @@ package service
 
 // Server telemetry: every request that reaches the wire layer is
 // counted, timed, and traced through a per-server internal/obs
-// registry. The instrument wrapper around each endpoint handler does
-// the uniform work (request/error counters, end-to-end latency split
-// by endpoint × codec); handlers fill in a pooled reqTrace with the
-// request's plan signature, batch size, and per-phase wall times
-// (decode → engine → encode), which the wrapper folds into the phase
-// histograms, the per-plan traffic sketch, and — past the configured
+// registry, the server's one counter store. The instrument wrapper
+// around each endpoint handler does the uniform work (request/error
+// counters, end-to-end latency split by endpoint × codec); handlers
+// fill in a pooled reqTrace with the request's plan signature, batch
+// size, and phase boundaries (decode → engine → encode), one clock
+// read each. That one record feeds the phase histograms, the per-plan
+// traffic sketch, the request's span trace, and — past the configured
 // threshold — a sampled slow-request log. Recording is pre-resolved
 // atomic handles only: no locks, no allocations on the request path
 // beyond the pooled trace.
@@ -42,9 +43,24 @@ const (
 	numCodecs
 )
 
+// Request phases, in order. A request's phases run back to back from
+// the wrapper's start: decode until the handler enters the engine,
+// engine until it starts encoding, encode until it returns. A phase
+// the handler never enters is not recorded.
+const (
+	phaseDecode = iota
+	phaseEngine
+	phaseEncode
+	numPhases
+	// noPhase closes the open phase without opening another: the rest
+	// of the request (a subscribe stream) is not a phase.
+	noPhase = numPhases
+)
+
 var (
 	epNames    = [numEndpoints]string{"plan", "slots", "maybroadcast", "mutate", "subscribe"}
 	codecNames = [numCodecs]string{"json", "bin"}
+	phaseNames = [numPhases]string{"decode", "engine", "encode"}
 )
 
 // planTrafficK bounds the per-plan-signature traffic sketch: at most
@@ -76,9 +92,8 @@ type SlowRequest struct {
 	Total, Decode, Engine, Encode time.Duration
 	// Trace is the request's hex trace ID, linking the log line to its
 	// span tree at /debug/traces. Slow requests that lost the sampling
-	// draw get a trace synthesized from the phase times
-	// (always-sample-on-slow), so Trace is "" only with tracing
-	// disabled entirely.
+	// draw get a forced trace built from the same phase record
+	// (always-sample-on-slow).
 	Trace string
 }
 
@@ -96,8 +111,8 @@ type Metrics struct {
 	latency  [numEndpoints][numCodecs]*obs.Histogram
 
 	// Request-phase wall times and batch-size distribution.
-	decodeNs, engineNs, encodeNs *obs.Histogram
-	batchSize                    *obs.Histogram
+	phaseNs   [numPhases]*obs.Histogram
+	batchSize *obs.Histogram
 
 	// Per-plan-signature traffic (points answered), bounded top-K.
 	planTraffic *obs.TopK
@@ -173,9 +188,9 @@ func newServerMetrics(opts ServerOptions) *Metrics {
 			m.latency[ep][c] = r.Histogram("latticed_request_ns" + labels)
 		}
 	}
-	m.decodeNs = r.Histogram(`latticed_phase_ns{phase="decode"}`)
-	m.engineNs = r.Histogram(`latticed_phase_ns{phase="engine"}`)
-	m.encodeNs = r.Histogram(`latticed_phase_ns{phase="encode"}`)
+	for p, name := range phaseNames {
+		m.phaseNs[p] = r.Histogram(`latticed_phase_ns{phase="` + name + `"}`)
+	}
 	m.batchSize = r.Histogram("latticed_batch_points")
 	m.plans = r.Gauge("latticed_plans")
 	m.regHits = r.Counter("latticed_registry_hits_total")
@@ -275,23 +290,75 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 // distribution, and the plan's traffic sketch — the exact recording
 // work a served batch pays.
 func (m *Metrics) ObserveBatch(sig string, points int, engine time.Duration) {
-	tr := reqTrace{sig: sig, batch: points, engineNs: engine}
+	tr := reqTrace{sig: sig, batch: points}
+	tr.at[phaseEngine] = [2]int64{0, int64(engine)}
 	m.observe(epSlots, codecJSON, 200, engine, &tr)
 }
 
-// reqTrace carries one request's trace between its handler and the
-// instrument wrapper, which stamps ep (the endpoint served). Pooled;
-// zeroed at checkout.
+// reqTrace is one request's record, shared by its handler and the
+// instrument wrapper, which stamps ep (the endpoint served) and start.
+// Pooled; zeroed at checkout, which leaves the decode phase open from
+// the start.
 type reqTrace struct {
-	ep                           int
-	sig                          string
-	batch                        int
-	decodeNs, engineNs, encodeNs time.Duration
+	ep    int
+	sig   string
+	batch int
+	// start is the wrapper's start, the origin of the request clock —
+	// unless the wrapper sampled the request, whose clock is then the
+	// trace's own, so the phases share a timeline with the epoch spans
+	// mutateCore stamps on it.
+	start time.Time
+	// base is the request-clock offset of span's origin: 0 when the
+	// wrapper started span, the body-read time when the request joined
+	// a binary trace-extension context mid-decode.
+	base int64
+	// cur is the open phase (noPhase once none is); at holds each
+	// phase's start and end offsets on the request clock, both 0 for a
+	// phase the request never entered.
+	cur int
+	at  [numPhases][2]int64
 	// span is the request's sampled trace (nil for the unsampled
 	// majority). The wrapper starts it — from the sampling draw or a
 	// propagated traceparent — and finishes it; the body read sets it
 	// itself when it finds a binary FrameTraceExt.
 	span *trace.Trace
+}
+
+// clock reads the request clock: nanoseconds since the request began.
+func (tr *reqTrace) clock() int64 {
+	if tr.span != nil {
+		return tr.base + tr.span.Clock()
+	}
+	return int64(time.Since(tr.start))
+}
+
+// phase is the one phase boundary: at a single clock read it ends the
+// open phase and opens next (noPhase opens none). It returns the read.
+func (tr *reqTrace) phase(next int) int64 {
+	now := tr.clock()
+	if tr.cur != noPhase {
+		tr.at[tr.cur][1] = now
+	}
+	if next != noPhase {
+		tr.at[next][0] = now
+	}
+	tr.cur = next
+	return now
+}
+
+// dur returns how long the request spent in phase p.
+func (tr *reqTrace) dur(p int) time.Duration {
+	return time.Duration(tr.at[p][1] - tr.at[p][0])
+}
+
+// stampPhases records the request's phases as spans of sp, on sp's own
+// timeline. No-op on a nil trace.
+func (tr *reqTrace) stampPhases(sp *trace.Trace) {
+	for p, at := range tr.at {
+		if at[1] > at[0] {
+			sp.Span(phaseNames[p], at[0]-tr.base, at[1]-tr.base)
+		}
+	}
 }
 
 // observe folds one finished request into the metrics plane. It is
@@ -305,14 +372,10 @@ func (m *Metrics) observe(ep, codec, status int, total time.Duration, tr *reqTra
 	if status >= 400 {
 		m.errors[ep][codec].Inc()
 	}
-	if tr.decodeNs > 0 {
-		m.decodeNs.Record(uint64(tr.decodeNs))
-	}
-	if tr.engineNs > 0 {
-		m.engineNs.Record(uint64(tr.engineNs))
-	}
-	if tr.encodeNs > 0 {
-		m.encodeNs.Record(uint64(tr.encodeNs))
+	for p, h := range m.phaseNs {
+		if d := tr.dur(p); d > 0 {
+			h.Record(uint64(d))
+		}
 	}
 	if tr.batch > 0 {
 		m.batchSize.Record(uint64(tr.batch))
@@ -363,31 +426,15 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWrite
 // including the untraced majority.
 const traceparentHeader = "Traceparent"
 
-// phaseSpans stamps the request's decode/engine/encode phase times onto
-// its trace as sequential spans. No-op on a nil trace.
-func phaseSpans(sp *trace.Trace, tr *reqTrace) {
-	off := int64(0)
-	if tr.decodeNs > 0 {
-		sp.Span("decode", off, off+int64(tr.decodeNs))
-		off += int64(tr.decodeNs)
-	}
-	if tr.engineNs > 0 {
-		sp.Span("engine", off, off+int64(tr.engineNs))
-		off += int64(tr.engineNs)
-	}
-	if tr.encodeNs > 0 {
-		sp.Span("encode", off, off+int64(tr.encodeNs))
-	}
-}
-
 // instrument wraps an endpoint handler with the uniform telemetry:
 // codec negotiation (once per request; the handler gets the codec),
-// status capture, end-to-end timing, trace sampling and traceparent
-// propagation, and the observe/slow-log calls. Handlers receive the
-// pooled trace to fill in signature, batch size, and phase times. A
-// request that lost the sampling draw but crossed the slow threshold
-// gets a trace synthesized from its phase times (always-sample-on-slow),
-// so every slow-log line links to a span tree.
+// status capture, trace sampling and traceparent propagation, and the
+// observe/slow-log calls. Handlers receive the pooled record to fill in
+// signature, batch size, and phase boundaries; the wrapper's last clock
+// read closes the open phase and is the request's total. A request that
+// lost the sampling draw but crossed the slow threshold gets a trace
+// built from that record (always-sample-on-slow), so every slow-log
+// line links to a span tree.
 func (s *Server) instrument(ep int, h func(w http.ResponseWriter, r *http.Request, c codec, tr *reqTrace)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		cid := codecJSON
@@ -413,25 +460,20 @@ func (s *Server) instrument(ep int, h func(w http.ResponseWriter, r *http.Reques
 				trace.FormatTraceparent(tr.span.ID(), tr.span.Root(), true))
 		}
 		sr := statusRecorder{ResponseWriter: w, status: 200}
-		start := time.Now()
+		tr.start = time.Now()
 		h(&sr, r, codecs[cid], tr)
-		total := time.Since(start)
+		total := time.Duration(tr.phase(noPhase))
 		s.met.observe(ep, cid, sr.status, total, tr)
+		slow := s.met.slowSample(total, tr.start.Add(total).UnixNano())
 		span := tr.span
+		if span == nil && slow {
+			span = s.rec.StartAt(epNames[ep], tr.start)
+		}
 		if span != nil {
-			phaseSpans(span, tr)
+			tr.stampPhases(span)
 			s.rec.Finish(span)
 		}
-		if s.met.slowSample(total, start.Add(total).UnixNano()) {
-			if span == nil {
-				span = s.rec.StartAt(epNames[ep], start)
-				phaseSpans(span, tr)
-				s.rec.Finish(span)
-			}
-			traceID := ""
-			if span != nil {
-				traceID = span.ID().String()
-			}
+		if slow {
 			s.met.slowLog(SlowRequest{
 				Endpoint:    epNames[ep],
 				Codec:       codecNames[cid],
@@ -439,10 +481,10 @@ func (s *Server) instrument(ep int, h func(w http.ResponseWriter, r *http.Reques
 				BatchPoints: tr.batch,
 				Status:      sr.status,
 				Total:       total,
-				Decode:      tr.decodeNs,
-				Engine:      tr.engineNs,
-				Encode:      tr.encodeNs,
-				Trace:       traceID,
+				Decode:      tr.dur(phaseDecode),
+				Engine:      tr.dur(phaseEngine),
+				Encode:      tr.dur(phaseEncode),
+				Trace:       span.ID().String(),
 			})
 		}
 		s.traces.Put(tr)

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"tilingsched/internal/service/binwire"
 )
 
 // TestObserveZeroAlloc is the service layer's zero-overhead guard: the
@@ -16,11 +19,9 @@ import (
 func TestObserveZeroAlloc(t *testing.T) {
 	m := newServerMetrics(ServerOptions{})
 	tr := &reqTrace{
-		sig:      "square|cross:2:1",
-		batch:    4096,
-		decodeNs: 5 * time.Microsecond,
-		engineNs: 80 * time.Microsecond,
-		encodeNs: 30 * time.Microsecond,
+		sig:   "square|cross:2:1",
+		batch: 4096,
+		at:    [numPhases][2]int64{{0, 5e3}, {5e3, 85e3}, {85e3, 115e3}},
 	}
 	// Warm the sketch so the signature is an existing key (steady
 	// state: a serving plan's signature is tracked after its first
@@ -98,6 +99,42 @@ func TestSlowLogEndToEnd(t *testing.T) {
 		}
 	default:
 		t.Fatal("no slow trace captured")
+	}
+}
+
+// TestPhaseRecording pins which phases each kind of request records:
+// a binary batch never enters encode, a request rejected before the
+// engine (bad bytes, a dimension mismatch) spends its whole time in
+// decode, and a plan request has no engine phase.
+func TestPhaseRecording(t *testing.T) {
+	plan := PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}
+	binBatch := func(pts [][]int) []byte {
+		return binarySeed(func(e *binwire.Buffer) {
+			EncodeBatchBinary(e, BatchRequest{Plan: plan, Points: pts}, false, "")
+		})
+	}
+	const js = "application/json"
+	cases := []struct {
+		name, path, ct, body string
+		want                 [numPhases]uint64 // decode, engine, encode
+	}{
+		{"json slots", "/v1/slots:batch", js, `{"plan":{"tile":{"name":"cross:2:1"}},"points":[[0,0]]}`, [numPhases]uint64{1, 1, 1}},
+		{"bin slots", "/v1/slots:batch", BinaryContentType, string(binBatch([][]int{{0, 0}})), [numPhases]uint64{1, 1, 0}},
+		{"bin dimension", "/v1/slots:batch", BinaryContentType, string(binBatch([][]int{{0, 0, 0}})), [numPhases]uint64{1, 0, 0}},
+		{"json malformed", "/v1/slots:batch", js, `{"plan":`, [numPhases]uint64{1, 0, 0}},
+		{"json mutate", "/v1/plan:mutate", js, jsonMutateAt(1, 1), [numPhases]uint64{1, 1, 1}},
+		{"plan", "/v1/plan", js, `{"plan":{"tile":{"name":"cross:2:1"}}}`, [numPhases]uint64{1, 0, 1}},
+	}
+	for _, c := range cases {
+		s := NewServer(NewRegistry(4), ServerOptions{})
+		req := httptest.NewRequest("POST", c.path, bytes.NewReader([]byte(c.body)))
+		req.Header.Set("Content-Type", c.ct)
+		s.ServeHTTP(httptest.NewRecorder(), req)
+		for p, h := range s.met.phaseNs {
+			if got := h.Snapshot().Count; got != c.want[p] {
+				t.Errorf("%s: %s phase recorded %d times, want %d", c.name, phaseNames[p], got, c.want[p])
+			}
+		}
 	}
 }
 

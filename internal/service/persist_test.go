@@ -195,8 +195,8 @@ func TestPersistRestartRoundTrip(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("RestoreSessions = (%d, %v), want (1, nil)", n, err)
 	}
-	if snap := s3.Snapshot().Sessions; snap.Sessions != 1 || snap.Restored != 1 {
-		t.Fatalf("restore-on-start stats %+v", snap)
+	if live, restored := s3.met.sessLive.Load(), s3.met.sessRestored.Load(); live != 1 || restored != 1 {
+		t.Fatalf("restore-on-start: %d live, %d restored; want 1 each", live, restored)
 	}
 }
 
@@ -220,9 +220,8 @@ func TestPersistRestoreOnMiss(t *testing.T) {
 	// is dirty (epoch 1), so the eviction must flush and count.
 	other := `{"plan":{"tile":{"name":"cross:2:1"}},"window":{"lo":[0,0],"hi":[2,2]},"full":true}`
 	mutateJSON(t, s, other, http.StatusOK)
-	snap := s.Snapshot().Sessions
-	if snap.Evicted != 1 || snap.EvictedDirty != 1 {
-		t.Fatalf("eviction stats %+v, want Evicted=1 EvictedDirty=1", snap)
+	if ev, dirty := s.met.sessEvicted.Load(), s.met.sessEvictedDirty.Load(); ev != 1 || dirty != 1 {
+		t.Fatalf("%d evicted, %d dirty; want 1 each", ev, dirty)
 	}
 	var sawEvictLog bool
 	for _, line := range logged {
@@ -243,8 +242,8 @@ func TestPersistRestoreOnMiss(t *testing.T) {
 	if _, dead := changedMap(resync)["1,1"]; dead {
 		t.Fatal("restore-on-miss resurrected a departed sensor")
 	}
-	if snap := s.Snapshot().Sessions; snap.Restored != 1 {
-		t.Fatalf("stats %+v, want Restored=1", snap)
+	if n := s.met.sessRestored.Load(); n != 1 {
+		t.Fatalf("%d restored, want 1", n)
 	}
 
 	// The distinct counter is a real /metrics series.
@@ -270,7 +269,7 @@ func TestPersistRestoreOnMiss(t *testing.T) {
 // this PR makes visible).
 func TestDirtyEvictionCounter(t *testing.T) {
 	plan := testPlan(t)
-	st := newSessionTable(1, nil)
+	st := newSessionTable(1, newServerMetrics(ServerOptions{}))
 	s1, err := st.get(plan, mustWindow(t, []int{0, 0}, []int{4, 4}))
 	if err != nil {
 		t.Fatal(err)
@@ -281,17 +280,15 @@ func TestDirtyEvictionCounter(t *testing.T) {
 	if _, err := st.get(plan, mustWindow(t, []int{0, 0}, []int{1, 1})); err != nil {
 		t.Fatal(err)
 	}
-	snap := st.snapshot()
-	if snap.Evicted != 1 || snap.EvictedDirty != 1 {
-		t.Fatalf("stats %+v, want Evicted=1 EvictedDirty=1", snap)
+	if ev, dirty := st.met.sessEvicted.Load(), st.met.sessEvictedDirty.Load(); ev != 1 || dirty != 1 {
+		t.Fatalf("%d evicted, %d dirty; want 1 each", ev, dirty)
 	}
 	// A clean eviction (epoch 0) must not count as dirty.
 	if _, err := st.get(plan, mustWindow(t, []int{0, 0}, []int{2, 2})); err != nil {
 		t.Fatal(err)
 	}
-	snap = st.snapshot()
-	if snap.Evicted != 2 || snap.EvictedDirty != 1 {
-		t.Fatalf("stats %+v, want Evicted=2 EvictedDirty=1", snap)
+	if ev, dirty := st.met.sessEvicted.Load(), st.met.sessEvictedDirty.Load(); ev != 2 || dirty != 1 {
+		t.Fatalf("%d evicted, %d dirty; want 2 and 1", ev, dirty)
 	}
 }
 

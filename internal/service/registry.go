@@ -41,31 +41,21 @@ const DefaultRegistryCapacity = 128
 // CompileFunc produces the plan for a signature on a cache miss.
 type CompileFunc func() (*core.Plan, error)
 
-// RegistryStats counts registry traffic. Hits include requests that
-// joined an in-flight compilation; Compilations counts successful
-// compiles only, so under concurrency Hits+Misses ≥ Compilations and a
-// signature requested from N goroutines at once contributes exactly one
-// compilation.
-type RegistryStats struct {
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
-	Compilations int64 `json:"compilations"`
-	Evictions    int64 `json:"evictions"`
-	Errors       int64 `json:"errors"`
-}
-
 // Registry is a concurrency-safe LRU cache of compiled plans keyed by
 // canonical plan signature (core.Signature). Lookups that miss trigger
 // exactly one compilation per signature no matter how many goroutines
 // ask at once (singleflight); failed compilations are reported to every
-// waiter but never cached, so a later request retries.
+// waiter but never cached, so a later request retries. Its traffic is
+// counted in the metrics of the Server that instruments it: hits
+// include requests that joined an in-flight compilation, and
+// compilations count successes only, so a signature requested from N
+// goroutines at once contributes exactly one compilation.
 type Registry struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*regEntry
 	lru     *list.List // of *regEntry; front = most recently used
-	stats   RegistryStats
-	met     *Metrics // nil until a Server instruments this registry
+	met     *Metrics   // nil until a Server instruments this registry
 
 	// sigs memoizes (lattice, tile-name) → canonical signature for
 	// named tile specs, so a warm GetSpec skips materializing the tile
@@ -111,7 +101,6 @@ func NewRegistry(capacity int) *Registry {
 func (r *Registry) Get(sig string, compile CompileFunc) (*core.Plan, error) {
 	r.mu.Lock()
 	if e, ok := r.entries[sig]; ok {
-		r.stats.Hits++
 		if r.met != nil {
 			r.met.regHits.Inc()
 			// A hit on an entry not yet on the LRU joined an in-flight
@@ -129,7 +118,6 @@ func (r *Registry) Get(sig string, compile CompileFunc) (*core.Plan, error) {
 	}
 	e := &regEntry{sig: sig, ready: make(chan struct{})}
 	r.entries[sig] = e
-	r.stats.Misses++
 	if r.met != nil {
 		r.met.regMisses.Inc()
 	}
@@ -141,13 +129,11 @@ func (r *Registry) Get(sig string, compile CompileFunc) (*core.Plan, error) {
 	e.plan, e.err = plan, err
 	if err != nil {
 		// Failures are reported to waiters but not cached.
-		r.stats.Errors++
 		if r.met != nil {
 			r.met.regErrors.Inc()
 		}
 		delete(r.entries, sig)
 	} else {
-		r.stats.Compilations++
 		if r.met != nil {
 			r.met.regCompilations.Inc()
 		}
@@ -157,7 +143,6 @@ func (r *Registry) Get(sig string, compile CompileFunc) (*core.Plan, error) {
 			ev := back.Value.(*regEntry)
 			r.lru.Remove(back)
 			delete(r.entries, ev.sig)
-			r.stats.Evictions++
 			if r.met != nil {
 				r.met.regEvictions.Inc()
 			}
@@ -169,9 +154,8 @@ func (r *Registry) Get(sig string, compile CompileFunc) (*core.Plan, error) {
 }
 
 // instrument points the registry's counters at a server's metrics
-// plane (in addition to the mutex-guarded RegistryStats, which stay
-// authoritative for /healthz). A registry shared by several servers
-// reports to whichever instrumented it last.
+// plane. A registry shared by several servers reports to whichever
+// instrumented it last.
 func (r *Registry) instrument(m *Metrics) {
 	r.mu.Lock()
 	r.met = m
@@ -236,14 +220,12 @@ func (r *Registry) Lookup(sig string) (*core.Plan, bool) {
 	r.mu.Lock()
 	e, ok := r.entries[sig]
 	if !ok {
-		r.stats.Misses++
 		if r.met != nil {
 			r.met.regMisses.Inc()
 		}
 		r.mu.Unlock()
 		return nil, false
 	}
-	r.stats.Hits++
 	if r.met != nil {
 		r.met.regHits.Inc()
 		if e.elem == nil {
@@ -267,11 +249,4 @@ func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lru.Len()
-}
-
-// Stats returns a snapshot of the registry counters.
-func (r *Registry) Stats() RegistryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }

@@ -33,6 +33,8 @@ func TestRegistrySingleflightConcurrent(t *testing.T) {
 		{Tile: TileSpec{Name: "cross:3:1"}},
 	}
 	reg := NewRegistry(len(specs))
+	m := newServerMetrics(ServerOptions{})
+	reg.instrument(m)
 
 	// Count real compilations per signature through the Get primitive.
 	var compiles [4]atomic.Int64
@@ -85,17 +87,18 @@ func TestRegistrySingleflightConcurrent(t *testing.T) {
 			t.Errorf("signature %d compiled %d times, want exactly 1", i, n)
 		}
 	}
-	st := reg.Stats()
-	if st.Compilations != int64(len(specs)) {
-		t.Errorf("stats report %d compilations, want %d", st.Compilations, len(specs))
+	if n := m.regCompilations.Load(); n != uint64(len(specs)) {
+		t.Errorf("metrics report %d compilations, want %d", n, len(specs))
 	}
-	if st.Hits+st.Misses != goroutines*8 {
-		t.Errorf("hits %d + misses %d ≠ %d requests", st.Hits, st.Misses, goroutines*8)
+	if hits, misses := m.regHits.Load(), m.regMisses.Load(); hits+misses != goroutines*8 {
+		t.Errorf("hits %d + misses %d ≠ %d requests", hits, misses, goroutines*8)
 	}
 }
 
 func TestRegistryLRUEviction(t *testing.T) {
 	reg := NewRegistry(2)
+	m := newServerMetrics(ServerOptions{})
+	reg.instrument(m)
 	get := func(name string) {
 		t.Helper()
 		if _, err := reg.GetSpec(PlanSpec{Tile: TileSpec{Name: name}}); err != nil {
@@ -109,18 +112,17 @@ func TestRegistryLRUEviction(t *testing.T) {
 	get("cross:2:1")     // still a hit
 	get("chebyshev:2:1") // recompiles
 
-	st := reg.Stats()
 	if reg.Len() != 2 {
 		t.Errorf("Len = %d, want 2", reg.Len())
 	}
-	if st.Evictions != 2 {
-		t.Errorf("Evictions = %d, want 2 (chebyshev at rect insert, rect at chebyshev reinsert)", st.Evictions)
+	if n := m.regEvictions.Load(); n != 2 {
+		t.Errorf("evictions = %d, want 2 (chebyshev at rect insert, rect at chebyshev reinsert)", n)
 	}
-	if st.Compilations != 4 {
-		t.Errorf("Compilations = %d, want 4 (3 distinct + 1 recompile)", st.Compilations)
+	if n := m.regCompilations.Load(); n != 4 {
+		t.Errorf("compilations = %d, want 4 (3 distinct + 1 recompile)", n)
 	}
-	if st.Hits != 2 {
-		t.Errorf("Hits = %d, want 2", st.Hits)
+	if n := m.regHits.Load(); n != 2 {
+		t.Errorf("hits = %d, want 2", n)
 	}
 }
 
@@ -224,6 +226,8 @@ func TestRegistryMemoRejectsMixedSpec(t *testing.T) {
 // point under the race detector with distinct dimensions in flight.
 func TestRegistryGetSpecConcurrentDistinct(t *testing.T) {
 	reg := NewRegistry(8)
+	m := newServerMetrics(ServerOptions{})
+	reg.instrument(m)
 	var wg sync.WaitGroup
 	errs := make(chan error, 24)
 	for g := 0; g < 24; g++ {
@@ -246,7 +250,7 @@ func TestRegistryGetSpecConcurrentDistinct(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := reg.Stats(); st.Compilations != 3 {
-		t.Errorf("Compilations = %d, want 3", st.Compilations)
+	if n := m.regCompilations.Load(); n != 3 {
+		t.Errorf("compilations = %d, want 3", n)
 	}
 }

@@ -72,12 +72,12 @@ const (
 //	POST /v1/maybroadcast:batch may-broadcast bits at time t
 //	POST /v1/plan:mutate        churn a dynamic deployment session
 //	POST /v1/plan:subscribe     stream a session's epoch deltas (push)
-//	GET  /healthz               liveness + registry and session stats
+//	GET  /healthz               liveness + cached plan count
 //
 // One handler per POST endpoint serves both codecs (codec.go). Bodies
 // and query buffers are pooled, so steady-state engine work allocates
-// nothing beyond JSON's own. Traffic counters (batch sizes, mutation
-// counts) are atomics exposed through Snapshot for /healthz and expvar.
+// nothing beyond JSON's own. Every counter lives in the server's
+// Metrics registry (metrics.go), read through WriteMetrics and Statusz.
 type Server struct {
 	reg      *Registry
 	opts     ServerOptions
@@ -88,40 +88,6 @@ type Server struct {
 	met      *Metrics
 	rec      *trace.Recorder
 	subSeq   atomic.Uint64 // subscriber identity for deliver spans
-
-	batchRequests  atomic.Int64
-	batchPoints    atomic.Int64
-	mutateRequests atomic.Int64
-}
-
-// ServerStats is a point-in-time snapshot of a server's traffic
-// counters, shaped for JSON (expvar and /healthz).
-type ServerStats struct {
-	// Plans and Registry mirror the plan cache.
-	Plans    int           `json:"plans"`
-	Registry RegistryStats `json:"registry"`
-	// BatchRequests and BatchPoints count slots/maybroadcast batches and
-	// the points they carried (their ratio is the mean batch size).
-	BatchRequests int64 `json:"batch_requests"`
-	BatchPoints   int64 `json:"batch_points"`
-	// MutateRequests counts /v1/plan:mutate requests (accepted or not);
-	// Sessions breaks down the dynamic-session traffic.
-	MutateRequests int64        `json:"mutate_requests"`
-	Sessions       SessionStats `json:"sessions"`
-}
-
-// Snapshot returns the server's current traffic counters. Safe for
-// concurrent callers; used by /healthz and published to expvar by
-// cmd/latticed.
-func (s *Server) Snapshot() ServerStats {
-	return ServerStats{
-		Plans:          s.reg.Len(),
-		Registry:       s.reg.Stats(),
-		BatchRequests:  s.batchRequests.Load(),
-		BatchPoints:    s.batchPoints.Load(),
-		MutateRequests: s.mutateRequests.Load(),
-		Sessions:       s.sessions.snapshot(),
-	}
 }
 
 // queryBuf carries one request's scratch between pool uses: the raw
@@ -246,8 +212,6 @@ func (s *Server) RestoreSessions() (int, error) {
 // 409 whose result still carries the current epoch, so the client can
 // resync (re-request with full set).
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, c codec, tr *reqTrace) {
-	s.mutateRequests.Add(1)
-	decodeStart := time.Now()
 	buf, body, ok := s.readBody(w, r, c, tr)
 	if !ok {
 		return
@@ -263,21 +227,18 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, c codec, t
 		return
 	}
 	tr.batch = len(req.Events)
-	tr.decodeNs = time.Since(decodeStart)
 	if err := checkDim(plan, req.Window.Dim(), "window"); err != nil {
 		c.writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	engineStart := time.Now()
+	tr.phase(phaseEngine)
 	resp, status, err := s.mutateCore(plan, &req, tr.span)
-	tr.engineNs = time.Since(engineStart)
 	if err != nil {
 		c.writeErr(w, status, err.Error())
 		return
 	}
-	encodeStart := time.Now()
+	tr.phase(phaseEncode)
 	c.writeMutate(w, status, resp)
-	tr.encodeNs = time.Since(encodeStart)
 }
 
 // mutateCore is the session half of handleMutate: find or seed the
@@ -321,7 +282,7 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 			Error:     fmt.Sprintf("stale epoch %d (current %d): resync with full=true", req.Epoch, sess.epoch),
 		}
 		sess.mu.Unlock()
-		s.sessions.recordConflict()
+		s.met.sessConfl.Inc()
 		return conflict, http.StatusConflict, nil
 	}
 	resp := MutateResponse{Signature: plan.Signature()}
@@ -331,7 +292,8 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 		if d.Events > 0 {
 			sess.epoch++
 			tsp.EpochSpan("overlay-apply", int64(sess.epoch), applyStart, tsp.Clock())
-			s.sessions.record(d.Events)
+			s.met.sessMutations.Inc()
+			s.met.sessEvents.Add(uint64(d.Events))
 			if sess.disk != nil {
 				walStart := tsp.Clock()
 				// Log the applied prefix (Apply stops at the first bad
@@ -375,7 +337,6 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 				s.met.fanoutNs.Record(uint64(time.Since(fanStart)))
 				if dropped > 0 {
 					s.met.subsDropped.Add(uint64(dropped))
-					s.sessions.recordSubDrops(dropped)
 					s.sessions.logfSafe("latticed: session %s: dropped %d slow subscriber(s) at epoch %d",
 						sess.key, dropped, sess.epoch)
 				}
@@ -421,14 +382,12 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{OK: true, Plans: s.reg.Len(), Stats: s.reg.Stats(),
-		Traffic: s.Snapshot()})
+	writeJSON(w, http.StatusOK, HealthResponse{OK: true, Plans: s.reg.Len()})
 }
 
 // handlePlan compiles (or fetches) a plan and describes it. The plan
 // endpoint speaks JSON whatever the request's codec.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, _ codec, tr *reqTrace) {
-	decodeStart := time.Now()
 	c := jsonCodec{}
 	buf, body, ok := s.readBody(w, r, c, tr)
 	if !ok {
@@ -444,7 +403,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, _ codec, tr 
 	if !ok {
 		return
 	}
-	tr.decodeNs = time.Since(decodeStart)
+	tr.phase(phaseEncode)
 	period := plan.Tiling().Period()
 	rows := make([][]int64, period.Rows())
 	for i := range rows {
@@ -458,7 +417,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, _ codec, tr 
 	for i, pt := range tilePts {
 		tile[i] = pt
 	}
-	encodeStart := time.Now()
 	writeJSON(w, http.StatusOK, PlanResponse{
 		Signature: plan.Signature(),
 		Lattice:   plan.Lattice().Name(),
@@ -467,7 +425,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, _ codec, tr 
 		Period:    rows,
 		Tile:      tile,
 	})
-	tr.encodeNs = time.Since(encodeStart)
 }
 
 // handleBatch serves slots and may-broadcast batches in either codec:
@@ -475,7 +432,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, _ codec, tr 
 // once — so the engine cannot fail after a binary head frame is out —
 // before the codec runs the engine and writes the answer.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, c codec, tr *reqTrace) {
-	decodeStart := time.Now()
 	buf, body, ok := s.readBody(w, r, c, tr)
 	if !ok {
 		return
@@ -490,7 +446,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, c codec, tr
 	if !ok {
 		return
 	}
-	tr.decodeNs = time.Since(decodeStart)
 	dim, total := req.Window.Dim(), len(req.Points)
 	if req.UseWindow {
 		total = req.Window.Size()
@@ -501,14 +456,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, c codec, tr
 		c.writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	tr.phase(phaseEngine)
 	// Past the first point, only a ragged JSON batch can still fail the
 	// engine; the JSON codec has written nothing by then.
 	if err := c.writeBatch(w, plan, req, total, buf, tr); err != nil {
 		c.writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.batchRequests.Add(1)
-	s.batchPoints.Add(int64(total))
 	tr.batch = total
 }
 
@@ -560,9 +514,10 @@ func (b *queryBuf) points(coords [][]int) []lattice.Point {
 // c (413 oversized, 400 otherwise; the buffer is then already back in
 // the pool). It strips a binary trace-extension prefix and joins its
 // context onto tr when the caller sampled and no traceparent header
-// already started a span (the header outranks the in-band frame). The
-// returned bytes alias buf.body; the caller hands buf back with putBuf
-// once nothing it still uses aliases them.
+// already started a span (the header outranks the in-band frame); the
+// request clock then runs on the joined trace, offset by the time
+// already spent. The returned bytes alias buf.body; the caller hands
+// buf back with putBuf once nothing it still uses aliases them.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, c codec, tr *reqTrace) (*queryBuf, []byte, bool) {
 	buf := s.bufs.Get().(*queryBuf)
 	// Hand-rolled: bytes.Buffer.ReadFrom would heap-allocate the reader.
@@ -587,6 +542,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, c codec, tr *r
 	}
 	ctx, body := c.traceExt(buf.body)
 	if ctx.Valid() && ctx.Sampled && tr.span == nil {
+		tr.base = tr.clock()
 		tr.span = s.rec.Join(epNames[tr.ep], ctx.TraceID, ctx.Parent)
 	}
 	return buf, body, true

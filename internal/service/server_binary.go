@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"tilingsched/internal/core"
 	"tilingsched/internal/obs/trace"
@@ -68,10 +67,8 @@ func (binCodec) writeErr(w http.ResponseWriter, status int, msg string) {
 
 // writeBatch streams the head frame, chunk frames and End. The engine
 // and encode phases interleave chunk by chunk, so the whole stream
-// counts toward the engine phase and encodeNs stays zero.
-func (binCodec) writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, tr *reqTrace) error {
-	engineStart := time.Now()
-	defer func() { tr.engineNs = time.Since(engineStart) }()
+// counts toward the engine phase and no encode phase is entered.
+func (binCodec) writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, _ *reqTrace) error {
 	e := binwire.Get()
 	defer binwire.Put(e)
 	st := binStream{w: w, e: e}

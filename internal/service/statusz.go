@@ -55,7 +55,8 @@ type StatuszResponse struct {
 	Now time.Time `json:"now"`
 	// Plans is the number of cached compiled plans.
 	Plans int `json:"plans"`
-	// SubscribersLive is the number of open subscription streams.
+	// SubscribersLive is the number of open subscription streams (the
+	// latticed_subscribers_live gauge).
 	SubscribersLive int64 `json:"subscribers_live"`
 	// Sessions lists every live mutation session, LRU order (least
 	// recently used first).
@@ -86,8 +87,8 @@ type StatuszResponse struct {
 // session rows plus the flattened per-subscriber lag samples
 // (epochs-behind, time-behind-ns) feeding the global watermarks. Cold
 // path: table lock to snapshot the pointers, then one session lock at
-// a time (lock order sess.mu → hub.mu, table.mu never held across
-// either).
+// a time (lock order sess.mu → hub.mu; table.mu is never held with
+// either, here or anywhere else).
 func (s *Server) statuszCollect() ([]StatuszSession, []uint64, []int64) {
 	st := s.sessions
 	st.mu.Lock()
@@ -171,7 +172,7 @@ func (s *Server) Statusz() StatuszResponse {
 	resp := StatuszResponse{
 		Now:                  time.Now(),
 		Plans:                s.reg.Len(),
-		SubscribersLive:      s.sessions.subsLive.Load(),
+		SubscribersLive:      s.met.subsLive.Load(),
 		Sessions:             rows,
 		PropagationExemplars: s.met.exemplars(),
 		TraceSampleEvery:     s.rec.SampleEvery(),

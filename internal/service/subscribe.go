@@ -10,8 +10,9 @@ package service
 // on the spot and its stream ends with a "resync required" terminal
 // frame. A subscriber arriving with a stale epoch is caught up from the
 // persisted WAL (§12) when the gap is covered, and answered with a full
-// resync snapshot otherwise. Lock order: sess.mu → subHub.mu → table.mu
-// (publish runs under the session lock; detach takes only the hub lock).
+// resync snapshot otherwise. Lock order: sess.mu → subHub.mu (publish
+// runs under the session lock; detach takes only the hub lock), and
+// table.mu is never held with either.
 
 import (
 	"encoding/json"
@@ -261,10 +262,10 @@ type Subscription struct {
 	// C delivers every epoch published after Hello.Epoch, in order.
 	C <-chan *Delta
 
-	sub  *subscriber
-	sess *dynSession
-	srv  *Server
-	done func()
+	sub    *subscriber
+	sess   *dynSession
+	srv    *Server
+	closed bool
 }
 
 // Mark records one delivered delta for this feed: lag-watermark
@@ -307,9 +308,9 @@ func (f *Subscription) Reason() string { return f.sub.reason }
 // server dropping the feed on its own.
 func (f *Subscription) Close() {
 	f.sess.hub.detach(f.sub)
-	if f.done != nil {
-		f.done()
-		f.done = nil
+	if !f.closed {
+		f.closed = true
+		f.srv.met.subsLive.Add(-1)
 	}
 }
 
@@ -418,13 +419,8 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 				s.met.subResyncs.Inc()
 			}
 		}
-		s.sessions.recordSubscribe()
 		s.met.subsTotal.Inc()
 		s.met.subsLive.Add(1)
-		feed.done = func() {
-			s.sessions.subsLive.Add(-1)
-			s.met.subsLive.Add(-1)
-		}
 		return feed, http.StatusOK, nil
 	}
 }
@@ -449,7 +445,6 @@ func fullDeltaLocked(sess *dynSession) *Delta {
 // stream that fails mid-flight just ends (binary: without End, the
 // client's truncation signal, as on the batch path).
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec, tr *reqTrace) {
-	decodeStart := time.Now()
 	buf, body, ok := s.readBody(w, r, c, tr)
 	if !ok {
 		return
@@ -466,11 +461,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 	if !ok {
 		return
 	}
-	tr.decodeNs = time.Since(decodeStart)
 	if err := checkDim(plan, req.Window.Dim(), "window"); err != nil {
 		c.writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// Decode is a subscription's only phase: the stream is not one.
+	tr.phase(noPhase)
 	feed, status, err := s.subscribeAttach(plan, req.Window, req.HasEpoch, req.Epoch)
 	if err != nil {
 		c.writeErr(w, status, err.Error())

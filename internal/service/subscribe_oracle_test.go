@@ -396,8 +396,8 @@ func TestSubscriberOracleSlowDrop(t *testing.T) {
 				t.Fatalf("feed ended with %q, want slow drop", feed.Reason())
 			}
 			feed.Close()
-			if s.Snapshot().Sessions.SubscriberDrops != 1 {
-				t.Fatalf("drop accounting %+v", s.Snapshot().Sessions)
+			if n := s.met.subsDropped.Load(); n != 1 {
+				t.Fatalf("%d subscribers dropped, want 1", n)
 			}
 
 			// Resume from the last applied epoch: the WAL covers the gap,
@@ -479,9 +479,9 @@ func TestSubscriberOracleEvictionRestore(t *testing.T) {
 			if got := canonAssign(o.copyMap); got != want {
 				t.Fatal("final copy diverged")
 			}
-			snap := s.Snapshot().Sessions
-			if evictions == 0 || snap.SubscriberEvictions == 0 || snap.Restored == 0 {
-				t.Fatalf("leg exercised nothing: %d evictions, stats %+v", evictions, snap)
+			if evictions == 0 || s.met.subsEvicted.Load() == 0 || s.met.sessRestored.Load() == 0 {
+				t.Fatalf("leg exercised nothing: %d evictions, %d subscribers evicted, %d sessions restored",
+					evictions, s.met.subsEvicted.Load(), s.met.sessRestored.Load())
 			}
 		})
 	}
@@ -568,7 +568,7 @@ func TestSubscriberOracleServerRestart(t *testing.T) {
 	if got := canonAssign(o.copyMap); got != mustRef(t, refs, 2*half) {
 		t.Fatal("final copy diverged after restart")
 	}
-	if s2.Snapshot().Sessions.Restored == 0 {
+	if s2.met.sessRestored.Load() == 0 {
 		t.Fatal("second server restored nothing")
 	}
 }

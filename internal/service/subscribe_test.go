@@ -402,9 +402,8 @@ func TestSubscribeAttachModes(t *testing.T) {
 		feed.Close()
 	}
 
-	snap := s.Snapshot().Sessions
-	if snap.Subscribed != 4 || snap.Subscribers != 0 {
-		t.Fatalf("subscription accounting %+v", snap)
+	if total, live := s.met.subsTotal.Load(), s.met.subsLive.Load(); total != 4 || live != 0 {
+		t.Fatalf("%d subscribed, %d live; want 4 and 0", total, live)
 	}
 }
 
@@ -497,9 +496,8 @@ func TestSubscribeSlowDrop(t *testing.T) {
 		mutateJSON(t, s, persistBody(`"events":[{"op":"join","p":[`+
 			fmt.Sprintf("%d", 6+i)+`,0]}]`), http.StatusOK)
 	}
-	snap := s.Snapshot().Sessions
-	if snap.SubscriberDrops != 1 {
-		t.Fatalf("drops %d, want 1 (stats %+v)", snap.SubscriberDrops, snap)
+	if n := s.met.subsDropped.Load(); n != 1 {
+		t.Fatalf("drops %d, want 1", n)
 	}
 	// Drain the two queued deltas, then observe the close and reason.
 	for i := 0; i < 2; i++ {
@@ -608,9 +606,8 @@ func TestSubscribeEvictionClosesSubscribers(t *testing.T) {
 	if feed.Reason() != byeEvicted {
 		t.Fatalf("reason %q", feed.Reason())
 	}
-	snap := s.Snapshot().Sessions
-	if snap.SubscriberEvictions != 1 || snap.Evicted != 1 {
-		t.Fatalf("eviction accounting %+v", snap)
+	if subs, sess := s.met.subsEvicted.Load(), s.met.sessEvicted.Load(); subs != 1 || sess != 1 {
+		t.Fatalf("%d subscribers and %d sessions evicted, want 1 each", subs, sess)
 	}
 	logMu.Lock()
 	defer logMu.Unlock()
@@ -670,12 +667,12 @@ func TestSubscribeClientDisconnect(t *testing.T) {
 	if _, err := st.Next(); err != nil { // the opening resync delta
 		t.Fatalf("reading resync: %v", err)
 	}
-	if live := s.Snapshot().Sessions.Subscribers; live != 1 {
+	if live := s.met.subsLive.Load(); live != 1 {
 		t.Fatalf("live subscribers %d, want 1", live)
 	}
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Snapshot().Sessions.Subscribers != 0 {
+	for s.met.subsLive.Load() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("disconnect did not release the subscriber")
 		}
@@ -780,11 +777,10 @@ func TestSubscribeRaceStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	snap := s.Snapshot().Sessions
-	if snap.Subscribers != 0 {
-		t.Fatalf("leaked live subscribers: %+v", snap)
+	if live := s.met.subsLive.Load(); live != 0 {
+		t.Fatalf("leaked %d live subscribers", live)
 	}
-	if snap.Mutations == 0 || snap.Subscribed == 0 {
-		t.Fatalf("stress did nothing: %+v", snap)
+	if s.met.sessMutations.Load() == 0 || s.met.subsTotal.Load() == 0 {
+		t.Fatal("stress did nothing")
 	}
 }

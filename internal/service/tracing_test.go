@@ -124,6 +124,7 @@ func TestTraceparentJSONPropagation(t *testing.T) {
 			t.Fatalf("trace missing %q span: %v", want, v.Spans)
 		}
 	}
+	checkPhaseNesting(t, v)
 }
 
 // TestTraceparentUnsampledIgnored: a propagated context without the
@@ -196,10 +197,46 @@ func TestTraceSpanTreeEndToEnd(t *testing.T) {
 		}
 	}
 
+	checkPhaseNesting(t, *mutateView)
+
 	// The exemplar ring links the delivery back to this trace.
 	exs := s.met.exemplars()
 	if len(exs) == 0 || exs[0].TraceID != mutateView.TraceID || exs[0].Epoch != 1 {
 		t.Fatalf("exemplars = %+v, want trace %s at epoch 1", exs, mutateView.TraceID)
+	}
+}
+
+// checkPhaseNesting asserts that one clock stamped a mutate trace: its
+// decode, engine and encode spans run in that order without
+// overlapping and end before the trace finished, and every epoch span
+// lies inside the engine span.
+func checkPhaseNesting(t *testing.T, v trace.View) {
+	t.Helper()
+	var phases []trace.Span
+	for _, sp := range v.Spans {
+		if sp.Name == "decode" || sp.Name == "engine" || sp.Name == "encode" {
+			phases = append(phases, sp)
+		}
+	}
+	if len(phases) != 3 || phases[0].Name != "decode" || phases[1].Name != "engine" || phases[2].Name != "encode" {
+		t.Fatalf("phases %+v, want decode, engine, encode", phases)
+	}
+	for i := 1; i < len(phases); i++ {
+		if prev, cur := phases[i-1], phases[i]; prev.StartNs > prev.EndNs || prev.EndNs > cur.StartNs {
+			t.Fatalf("phase %+v overlaps or follows %+v", prev, cur)
+		}
+	}
+	if last := phases[2]; last.EndNs > v.DurationNs {
+		t.Fatalf("phase %+v ends after the trace finished at %d ns", last, v.DurationNs)
+	}
+	engine := phases[1]
+	for _, sp := range v.Spans {
+		switch sp.Name {
+		case "overlay-apply", "wal-append", "hub-publish":
+			if sp.StartNs < engine.StartNs || sp.EndNs > engine.EndNs {
+				t.Fatalf("span %+v lies outside the engine phase %+v", sp, engine)
+			}
+		}
 	}
 }
 
@@ -247,6 +284,8 @@ func TestTraceExtBinaryJoin(t *testing.T) {
 	if !spanNames(v)["overlay-apply"] {
 		t.Fatalf("joined trace missing the epoch timeline: %v", v.Spans)
 	}
+	// Joined mid-decode, the trace still gets phases on its own clock.
+	checkPhaseNesting(t, v)
 
 	// An unsampled extension frame must strip cleanly and trace nothing.
 	e.Reset()
@@ -301,9 +340,7 @@ func TestSlowLogLinksTrace(t *testing.T) {
 		if !v.Forced {
 			t.Fatalf("retro-sampled trace not marked forced: %+v", v)
 		}
-		if !spanNames(v)["engine"] {
-			t.Fatalf("forced trace missing phase spans: %v", v.Spans)
-		}
+		checkPhaseNesting(t, v)
 	default:
 		t.Fatal("no slow entry captured")
 	}

@@ -365,13 +365,10 @@ func DecodeTileSpec(data []byte) (*prototile.Tile, error) {
 	return ts.resolve()
 }
 
-// HealthResponse is the body of GET /healthz. Plans and Stats are the
-// original plan-cache fields; Traffic is the full counter snapshot
-// (batch sizes, mutation counts, session stats) added with the dynamic
-// subsystem.
+// HealthResponse is the body of GET /healthz: liveness and the number
+// of cached plans. Traffic counters are on the metrics plane
+// (Server.WriteMetrics).
 type HealthResponse struct {
-	OK      bool          `json:"ok"`
-	Plans   int           `json:"plans"`
-	Stats   RegistryStats `json:"stats"`
-	Traffic ServerStats   `json:"traffic"`
+	OK    bool `json:"ok"`
+	Plans int  `json:"plans"`
 }
