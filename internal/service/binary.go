@@ -15,8 +15,8 @@ package service
 // by FuzzDecodeBinaryBatch / FuzzDecodeBinaryMutate under the same
 // never-panic contract. Point coordinates decode into a caller-owned
 // BinScratch arena (pooled by the server), so a warm decode allocates
-// nothing: the returned points alias the arena, exactly like the JSON
-// path's queryBuf aliasing.
+// nothing: the returned points alias the arena, which the JSON batch
+// scanner fills too.
 //
 // Encode side: responses are frame sequences (head, chunks, end)
 // emitted through pooled binwire.Buffers — a 1M-slot window answer
@@ -80,9 +80,9 @@ type BinBatch struct {
 	T int64
 }
 
-// BinScratch is the reusable backing store of a binary batch decode:
-// one flat coordinate arena plus the point-header slice over it. The
-// server pools one per in-flight request, making warm decodes
+// BinScratch is the reusable backing store of a batch decode, binary
+// or JSON: one flat coordinate arena plus the point-header slice over
+// it. The server pools one per in-flight request, making warm decodes
 // allocation-free; a zero BinScratch is ready to use. Not safe for
 // concurrent use.
 type BinScratch struct {

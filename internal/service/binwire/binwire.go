@@ -187,6 +187,13 @@ func (e *Buffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// AvailableBuffer returns an empty slice over the buffer's spare
+// capacity, as bytes.Buffer's does: an append-style encoder appends to
+// it and hands the result to an immediately following Write. Bytes
+// that fit are then already in place; otherwise Write grows the buffer,
+// which keeps the larger array for its next use.
+func (e *Buffer) AvailableBuffer() []byte { return e.b[len(e.b):] }
+
 // --- Decoding -------------------------------------------------------------
 
 // Reader decodes one payload (or a whole frame sequence) from a byte

@@ -7,6 +7,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 
 	"tilingsched/internal/core"
 	"tilingsched/internal/obs/trace"
@@ -55,7 +56,7 @@ type jsonCodec struct{}
 func (jsonCodec) traceExt(body []byte) (trace.Context, []byte) { return trace.Context{}, body }
 
 func (jsonCodec) decodeBatch(body []byte, kind byte, lim Limits, buf *queryBuf) (BinBatch, error) {
-	req, win, err := DecodeBatchRequest(body, lim)
+	req, win, err := decodeBatchJSON(body, lim, &buf.sc)
 	if err != nil {
 		return BinBatch{}, err
 	}
@@ -63,7 +64,7 @@ func (jsonCodec) decodeBatch(body []byte, kind byte, lim Limits, buf *queryBuf) 
 	if win != nil {
 		out.Window, out.UseWindow = *win, true
 	} else {
-		out.Points = buf.points(req.Points)
+		out.Points = buf.sc.pts
 	}
 	return out, nil
 }
@@ -97,23 +98,65 @@ func (jsonCodec) writeErr(w http.ResponseWriter, status int, msg string) {
 }
 
 // writeBatch builds the whole answer before encoding it: the engine
-// hands over one run of total answers, which is buf's pooled slice.
+// hands over one run of total answers, which is buf's pooled slice. The
+// encoding is appended to a pooled buffer and written at once.
 func (jsonCodec) writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, tr *reqTrace) error {
-	var resp any
+	may := req.Kind == binwire.FrameBatchMay
 	var err error
-	if req.Kind == binwire.FrameBatchMay {
-		err = answerMay(plan, &req, total, buf, func(run []bool) bool { buf.may = run; return true })
-		resp = MayResponse{M: plan.Slots(), T: req.T, May: buf.may}
+	if may {
+		err = answerMay(plan, &req, total, buf, func([]bool) bool { return true })
 	} else {
-		err = answerSlots(plan, &req, total, buf, func(run []int32) bool { buf.slots = run; return true })
-		resp = SlotsResponse{M: plan.Slots(), Slots: buf.slots}
+		err = answerSlots(plan, &req, total, buf, func([]int32) bool { return true })
 	}
 	if err != nil {
 		return err
 	}
 	tr.phase(phaseEncode)
-	writeJSON(w, http.StatusOK, resp)
+	e := binwire.Get()
+	defer binwire.Put(e)
+	if may {
+		_, _ = e.Write(appendMayJSON(e.AvailableBuffer(), MayResponse{M: plan.Slots(), T: req.T, May: buf.may}))
+	} else {
+		_, _ = e.Write(appendSlotsJSON(e.AvailableBuffer(), SlotsResponse{M: plan.Slots(), Slots: buf.slots}))
+	}
+	writeBuffered(w, http.StatusOK, "application/json", e)
 	return nil
+}
+
+// appendSlotsJSON appends the bytes json.Encoder writes for r, trailing
+// newline included, without reflection.
+func appendSlotsJSON(b []byte, r SlotsResponse) []byte {
+	b = strconv.AppendInt(append(b, `{"m":`...), int64(r.M), 10)
+	b = append(b, `,"slots":`...)
+	if r.Slots == nil {
+		return append(b, "null}\n"...)
+	}
+	b = append(b, '[')
+	for i, v := range r.Slots {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendMayJSON is appendSlotsJSON for a may-broadcast answer.
+func appendMayJSON(b []byte, r MayResponse) []byte {
+	b = strconv.AppendInt(append(b, `{"m":`...), int64(r.M), 10)
+	b = strconv.AppendInt(append(b, `,"t":`...), r.T, 10)
+	b = append(b, `,"may":`...)
+	if r.May == nil {
+		return append(b, "null}\n"...)
+	}
+	b = append(b, '[')
+	for i, v := range r.May {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendBool(b, v)
+	}
+	return append(b, "]}\n"...)
 }
 
 func (jsonCodec) writeMutate(w http.ResponseWriter, status int, resp MutateResponse) {
@@ -134,6 +177,13 @@ func (jsonCodec) bye(e *binwire.Buffer, epoch uint64, reason string) {
 // encoding and its newline straight into e, with no intermediate copy.
 // The stream elements are plain structs, which always encode.
 func appendLine(e *binwire.Buffer, v any) { _ = json.NewEncoder(e).Encode(v) }
+
+// writeBuffered answers a complete response encoded in e.
+func writeBuffered(w http.ResponseWriter, status int, contentType string, e *binwire.Buffer) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(status)
+	_, _ = w.Write(e.Bytes())
+}
 
 // writeJSON answers a whole JSON response.
 func writeJSON(w http.ResponseWriter, status int, body any) {

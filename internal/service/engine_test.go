@@ -119,3 +119,28 @@ func TestQueryZeroAlloc(t *testing.T) {
 		t.Errorf("QueryMayBroadcast allocates %.1f per batch, want 0", n)
 	}
 }
+
+// TestAnswerWindowRunReused pins the pooled answer run: a warm window
+// answer reuses the run the previous request grew, so it allocates only
+// the window cursor clone TestQueryZeroAlloc allows.
+func TestAnswerWindowRunReused(t *testing.T) {
+	plan := mustPlan(t, prototile.Cross(2, 1))
+	req := BinBatch{Window: lattice.CenteredWindow(2, 63), UseWindow: true, T: 3} // 127² answers
+	var buf queryBuf
+	slots := func() {
+		if err := answerSlots(plan, &req, binChunkPoints, &buf, func([]int32) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	may := func() {
+		if err := answerMay(plan, &req, binChunkPoints, &buf, func([]bool) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, answer := range map[string]func(){"answerSlots": slots, "answerMay": may} {
+		answer()
+		if n := testing.AllocsPerRun(10, answer); n > 1 {
+			t.Errorf("warm window %s allocates %.1f per call, want ≤ 1", name, n)
+		}
+	}
+}

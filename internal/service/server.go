@@ -91,22 +91,17 @@ type Server struct {
 }
 
 // queryBuf carries one request's scratch between pool uses: the raw
-// body, the JSON batch's point headers, the binary batch's decode arena,
-// and the answer slices.
+// body, the batch decode arena both codecs fill, and the answer slices.
 type queryBuf struct {
 	body  []byte
-	pts   []lattice.Point
 	sc    BinScratch
 	slots []int32
 	may   []bool
 }
 
-// putBuf returns buf to the pool, dropping the point aliases into the
-// last request's decoded coordinate arrays so the pool does not pin
-// request data.
+// putBuf returns buf to the pool, dropping the arena's aliases into the
+// last request's data so the pool does not pin it.
 func (s *Server) putBuf(buf *queryBuf) {
-	clear(buf.pts[:cap(buf.pts)])
-	buf.pts = buf.pts[:0]
 	buf.sc.Release()
 	s.bufs.Put(buf)
 }
@@ -468,11 +463,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, c codec, tr
 
 // answerSlots runs the engine over a batch and hands the slots to emit
 // in runs of at most chunk, through buf's pooled slice: a window answer
-// never materializes beyond one run. emit returning false abandons the
-// query (the client hung up).
+// never materializes beyond one run, and that run stays in buf for the
+// next request. emit returning false abandons the query (the client
+// hung up).
 func answerSlots(plan *core.Plan, req *BinBatch, chunk int, buf *queryBuf, emit func([]int32) bool) error {
 	if req.UseWindow {
-		return QueryWindowSlotsChunked(plan, req.Window, chunk, buf.slots[:0], emit)
+		return QueryWindowSlotsChunked(plan, req.Window, chunk, buf.slots[:0], func(run []int32) bool {
+			buf.slots = run
+			return emit(run)
+		})
 	}
 	var err error
 	buf.slots, err = QuerySlots(plan, req.Points, buf.slots[:0])
@@ -487,7 +486,10 @@ func answerSlots(plan *core.Plan, req *BinBatch, chunk int, buf *queryBuf, emit 
 // answerMay is answerSlots for may-broadcast flags at req.T.
 func answerMay(plan *core.Plan, req *BinBatch, chunk int, buf *queryBuf, emit func([]bool) bool) error {
 	if req.UseWindow {
-		return QueryWindowMayChunked(plan, req.Window, req.T, chunk, buf.may[:0], emit)
+		return QueryWindowMayChunked(plan, req.Window, req.T, chunk, buf.may[:0], func(run []bool) bool {
+			buf.may = run
+			return emit(run)
+		})
 	}
 	var err error
 	buf.may, err = QueryMayBroadcast(plan, req.Points, req.T, buf.may[:0])
@@ -497,16 +499,6 @@ func answerMay(plan *core.Plan, req *BinBatch, chunk int, buf *queryBuf, emit fu
 		}
 	}
 	return err
-}
-
-// points adapts wire coordinates to lattice points in the pooled scratch
-// slice; the coordinate arrays are aliased, not copied.
-func (b *queryBuf) points(coords [][]int) []lattice.Point {
-	b.pts = b.pts[:0]
-	for _, c := range coords {
-		b.pts = append(b.pts, lattice.Point(c))
-	}
-	return b.pts
 }
 
 // readBody reads the size-capped request body into a pooled queryBuf —

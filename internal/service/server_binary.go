@@ -62,7 +62,7 @@ func (binCodec) writeErr(w http.ResponseWriter, status int, msg string) {
 	e.EndFrame()
 	e.BeginFrame(binwire.FrameEnd)
 	e.EndFrame()
-	writeBin(w, status, e)
+	writeBuffered(w, status, BinaryContentType, e)
 }
 
 // writeBatch streams the head frame, chunk frames and End. The engine
@@ -103,7 +103,7 @@ func (binCodec) writeMutate(w http.ResponseWriter, status int, resp MutateRespon
 	e := binwire.Get()
 	defer binwire.Put(e)
 	encodeMutateResponse(e, resp)
-	writeBin(w, status, e)
+	writeBuffered(w, status, BinaryContentType, e)
 }
 
 func (binCodec) streamType() string { return BinaryContentType }
@@ -117,13 +117,6 @@ func (binCodec) bye(e *binwire.Buffer, epoch uint64, reason string) {
 	encodeSubBye(e, epoch, reason)
 	e.BeginFrame(binwire.FrameEnd)
 	e.EndFrame()
-}
-
-// writeBin answers a complete binary frame sequence.
-func writeBin(w http.ResponseWriter, status int, e *binwire.Buffer) {
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.WriteHeader(status)
-	_, _ = w.Write(e.Bytes())
 }
 
 // binStream incrementally writes an encoded frame sequence to the

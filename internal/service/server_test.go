@@ -229,3 +229,69 @@ func TestServerCustomTilePoints(t *testing.T) {
 		t.Errorf("plan response %+v, want 3 slots on hexagonal", pr)
 	}
 }
+
+// TestAppendJSONMatchesEncoder pins the batch answer encoders to the
+// bytes json.Encoder writes, on nil, empty and non-empty answers and on
+// negative and extreme times.
+func TestAppendJSONMatchesEncoder(t *testing.T) {
+	encode := func(v any) []byte {
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, r := range []SlotsResponse{
+		{M: 5},
+		{M: 5, Slots: []int32{}},
+		{M: 1, Slots: []int32{0}},
+		{M: 1 << 30, Slots: []int32{4, 0, 1<<31 - 1, 17, -1 << 31}},
+	} {
+		if got, want := appendSlotsJSON([]byte("prefix"), r), append([]byte("prefix"), encode(r)...); !bytes.Equal(got, want) {
+			t.Errorf("appendSlotsJSON(%+v) = %q, want %q", r, got, want)
+		}
+	}
+	for _, r := range []MayResponse{
+		{M: 5},
+		{M: 5, T: -1, May: []bool{}},
+		{M: 3, T: 1<<63 - 1, May: []bool{true}},
+		{M: 25, T: -1 << 63, May: []bool{false, true, true, false}},
+	} {
+		if got, want := appendMayJSON([]byte("prefix"), r), append([]byte("prefix"), encode(r)...); !bytes.Equal(got, want) {
+			t.Errorf("appendMayJSON(%+v) = %q, want %q", r, got, want)
+		}
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestJSONBatchAllocs bounds the allocations of a 1,024-point JSON
+// slots batch through ServeHTTP, request and recorder included: the
+// canonical scan fills the pooled arena and the answer is appended, so
+// the count no longer grows with the batch (encoding/json made ~2,400).
+func TestJSONBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector, sync.Pool drops pooled buffers at random")
+	}
+	s := NewServer(NewRegistry(8), ServerOptions{})
+	points := make([][]int, 1024)
+	for i := range points {
+		points[i] = []int{i*7%2001 - 1000, i*13%2001 - 1000}
+	}
+	body, err := json.Marshal(BatchRequest{Plan: PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}, Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/slots:batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve()
+	if n := testing.AllocsPerRun(20, serve); n > 60 {
+		t.Errorf("1,024-point JSON batch allocates %.0f per request, want ≤ 60", n)
+	}
+}

@@ -276,16 +276,29 @@ type Subscription struct {
 // still works, it just reads as lagging.
 func (f *Subscription) Mark(d *Delta) { f.srv.markDelivered(f.sub, d) }
 
-// markDelivered is the delivery bookkeeping behind Subscription.Mark
-// and the wire relays: advance the subscriber's lag marks, record
-// propagation latency for live deltas, and complete the publishing
-// trace's span tree with a deliver span.
+// markDelivered is the delivery bookkeeping behind Subscription.Mark:
+// advance the subscriber's lag marks, then record the delivery.
 func (s *Server) markDelivered(sub *subscriber, d *Delta) {
+	sub.advance(d)
+	s.recordDelivery(sub, d)
+}
+
+// advance moves the subscriber's lag watermarks to d. The wire relay
+// calls it before writing d, so a client that has decoded d can never
+// read /statusz behind it (DESIGN.md §14).
+func (sub *subscriber) advance(d *Delta) {
 	sub.lastEpoch.Store(d.Epoch)
-	if d.PubTime.IsZero() {
-		return // catch-up or resync delta: never fanned out live
+	if !d.PubTime.IsZero() { // catch-up and resync deltas were never fanned out live
+		sub.lastPubNs.Store(d.PubTime.UnixNano())
 	}
-	sub.lastPubNs.Store(d.PubTime.UnixNano())
+}
+
+// recordDelivery records propagation latency for a delivered live delta
+// and completes the publishing trace's span tree with a deliver span.
+func (s *Server) recordDelivery(sub *subscriber, d *Delta) {
+	if d.PubTime.IsZero() {
+		return
+	}
 	n := sub.delivered
 	sub.delivered = n + 1
 	if d.trace == nil && n&propSampleMask != 0 {
@@ -493,10 +506,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 	}
 	last := feed.Hello.Epoch
 	deliver := func(d *Delta) bool {
+		// The watermark moves before any of d's bytes can reach the
+		// client; a failed write ends the stream and detaches the
+		// subscriber, so the early mark never outlives a lost delta.
+		feed.sub.advance(d)
 		if !send(func(e *binwire.Buffer) { c.delta(e, d) }) {
 			return false
 		}
-		s.markDelivered(feed.sub, d)
+		s.recordDelivery(feed.sub, d)
 		last = max(last, d.Epoch)
 		return true
 	}

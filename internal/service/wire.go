@@ -320,30 +320,309 @@ func (l Limits) withDefaults() Limits {
 // the batch within lim.MaxBatch, and the window shorthand well-formed
 // and within lim.MaxWindow points. On success the validated window (nil
 // for explicit-point batches) is returned alongside the request.
-// Violations yield errors wrapping ErrSpec (malformed, 400) or ErrLimit
-// (too large, 413).
+// Appending to one point row cannot overwrite another. Violations yield
+// errors wrapping ErrSpec (malformed, 400) or ErrLimit (too large, 413).
 func DecodeBatchRequest(data []byte, lim Limits) (BatchRequest, *lattice.Window, error) {
-	lim = lim.withDefaults()
-	var req BatchRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return BatchRequest{}, nil, fmt.Errorf("%w: decoding request: %v", ErrSpec, err)
-	}
-	switch {
-	case len(req.Points) > 0 && req.Window == nil:
-		if len(req.Points) > lim.MaxBatch {
-			return BatchRequest{}, nil, fmt.Errorf("%w: batch of %d points exceeds limit %d",
-				ErrLimit, len(req.Points), lim.MaxBatch)
+	var sc BinScratch
+	req, win, err := decodeBatchJSON(data, lim, &sc)
+	if err == nil && win == nil {
+		req.Points = make([][]int, len(sc.pts))
+		for i, p := range sc.pts {
+			req.Points[i] = p
 		}
-		return req, nil, nil
-	case req.Window != nil && len(req.Points) == 0:
-		win, err := req.Window.bounded(lim.MaxWindow)
-		if err != nil {
+	}
+	return req, win, err
+}
+
+// decodeBatchJSON is the JSON batch funnel of DecodeBatchRequest and the
+// JSON codec. A body of the canonical shape is scanned straight into
+// sc's arena (scanBatch); any other goes through encoding/json
+// (unmarshalBatch), which stays the reference for what the funnel
+// accepts and how it fails. Either way the point rows end up in sc.pts,
+// req.Points is nil, and one check (checkBatch) validates the request.
+func decodeBatchJSON(data []byte, lim Limits, sc *BinScratch) (BatchRequest, *lattice.Window, error) {
+	lim = lim.withDefaults()
+	req, scanned := scanBatch(data, lim.MaxBatch, sc)
+	rows := len(sc.pts)
+	if !scanned {
+		var err error
+		if req, err = unmarshalBatch(data); err != nil {
 			return BatchRequest{}, nil, err
 		}
-		return req, &win, nil
-	default:
-		return BatchRequest{}, nil, fmt.Errorf("%w: exactly one of points and window must be set", ErrSpec)
+		rows = len(req.Points)
 	}
+	win, err := checkBatch(rows, req.Window, lim)
+	if err != nil {
+		return BatchRequest{}, nil, err
+	}
+	if !scanned {
+		// Adopted only once checked, so an over-limit batch never grows
+		// the pooled headers.
+		sc.pts = sc.pts[:0]
+		for _, row := range req.Points {
+			sc.pts = append(sc.pts, row)
+		}
+		req.Points = nil
+	}
+	return req, win, nil
+}
+
+// unmarshalBatch is the reflection decode of a batch body.
+func unmarshalBatch(data []byte) (BatchRequest, error) {
+	var req BatchRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		return BatchRequest{}, fmt.Errorf("%w: decoding request: %v", ErrSpec, err)
+	}
+	return req, nil
+}
+
+// checkBatch enforces a decoded batch's structural contract: exactly
+// one of rows points and window ws, at most lim.MaxBatch points, and
+// the window bounded by lim.MaxWindow. It returns the validated window,
+// nil for a point batch.
+func checkBatch(rows int, ws *WindowSpec, lim Limits) (*lattice.Window, error) {
+	switch {
+	case rows > 0 && ws == nil:
+		if rows > lim.MaxBatch {
+			return nil, fmt.Errorf("%w: batch of %d points exceeds limit %d", ErrLimit, rows, lim.MaxBatch)
+		}
+		return nil, nil
+	case ws != nil && rows == 0:
+		win, err := ws.bounded(lim.MaxWindow)
+		if err != nil {
+			return nil, err
+		}
+		return &win, nil
+	default:
+		return nil, fmt.Errorf("%w: exactly one of points and window must be set", ErrSpec)
+	}
+}
+
+// The canonical batch keys, as scanBatch's seen-set bits.
+const (
+	keyPlan = 1 << iota
+	keyPoints
+	keyWindow
+	keyT
+)
+
+// scanBatch reads a batch body of the canonical shape without
+// reflection: one object whose keys are exactly plan, points, window
+// and t — lowercase, unescaped, each at most once — with JSON
+// whitespace anywhere and nothing after the closing brace. points is
+// an array of at most maxRows arrays of at most maxTileDim integer
+// literals that fit int; t is an integer literal that fits int64; plan
+// and window are objects, which json.Unmarshal decodes from their own
+// bytes. The rows land in sc: coordinates in its arena, headers in
+// sc.pts. scanned is false for any other body, which the caller hands
+// to the reference decode; a body the scanner takes decodes there to
+// the same request (FuzzDecodeBatchRequest checks this).
+func scanBatch(data []byte, maxRows int, sc *BinScratch) (req BatchRequest, scanned bool) {
+	sc.reserve(0)
+	s := jsonScanner{data: data}
+	if !s.next('{') {
+		return req, false
+	}
+	if !s.next('}') {
+		seen := 0
+		for {
+			key := s.key()
+			if key == 0 || seen&key != 0 || !s.next(':') {
+				return req, false
+			}
+			seen |= key
+			ok := false
+			switch key {
+			case keyPlan:
+				v, found := s.object()
+				ok = found && json.Unmarshal(v, &req.Plan) == nil
+			case keyWindow:
+				v, found := s.object()
+				req.Window = new(WindowSpec)
+				ok = found && json.Unmarshal(v, req.Window) == nil
+			case keyPoints:
+				ok = s.rows(maxRows, sc)
+			case keyT:
+				req.T, ok = s.int(64)
+			}
+			if !ok {
+				return req, false
+			}
+			if !s.next(',') {
+				break
+			}
+		}
+		if !s.next('}') {
+			return req, false
+		}
+	}
+	s.space()
+	if s.off != len(data) {
+		return req, false
+	}
+	// The arena has stopped growing: bind each row, which so far only
+	// recorded its length, to its place in it.
+	off := 0
+	for i, p := range sc.pts {
+		end := off + len(p)
+		sc.pts[i] = sc.coords[off:end:end]
+		off = end
+	}
+	return req, true
+}
+
+// jsonScanner is scanBatch's cursor over a request body.
+type jsonScanner struct {
+	data []byte
+	off  int
+}
+
+// space skips JSON whitespace.
+func (s *jsonScanner) space() {
+	for s.off < len(s.data) {
+		switch s.data[s.off] {
+		case ' ', '\t', '\n', '\r':
+			s.off++
+		default:
+			return
+		}
+	}
+}
+
+// next skips whitespace and consumes c if it comes next.
+func (s *jsonScanner) next(c byte) bool {
+	s.space()
+	if s.off < len(s.data) && s.data[s.off] == c {
+		s.off++
+		return true
+	}
+	return false
+}
+
+// key reads one member name and returns its key bit: 0 for any name
+// but the four canonical ones spelled exactly, escapes included.
+func (s *jsonScanner) key() int {
+	if !s.next('"') {
+		return 0
+	}
+	start := s.off
+	for s.off < len(s.data) && s.data[s.off] != '"' && s.data[s.off] != '\\' {
+		s.off++
+	}
+	if s.off == len(s.data) || s.data[s.off] != '"' {
+		return 0
+	}
+	name := s.data[start:s.off]
+	s.off++
+	switch string(name) {
+	case "plan":
+		return keyPlan
+	case "points":
+		return keyPoints
+	case "window":
+		return keyWindow
+	case "t":
+		return keyT
+	}
+	return 0
+}
+
+// object returns the bytes of the object at the cursor and moves past
+// it. String-aware bracket matching finds its end; the caller's
+// json.Unmarshal validates the bytes, and bytes it accepts are exactly
+// one object.
+func (s *jsonScanner) object() ([]byte, bool) {
+	s.space()
+	start := s.off
+	if start == len(s.data) || s.data[start] != '{' {
+		return nil, false
+	}
+	depth := 0
+	for i := start; i < len(s.data); i++ {
+		switch s.data[i] {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				s.off = i + 1
+				return s.data[start:s.off], true
+			}
+		case '"':
+			for i++; i < len(s.data) && s.data[i] != '"'; i++ {
+				if s.data[i] == '\\' {
+					i++
+				}
+			}
+		}
+	}
+	return nil, false
+}
+
+// rows reads the points array into sc. Each row's header records only
+// its length until scanBatch binds it, since appending may still move
+// the arena.
+func (s *jsonScanner) rows(maxRows int, sc *BinScratch) bool {
+	if !s.next('[') {
+		return false
+	}
+	if s.next(']') {
+		return true
+	}
+	for {
+		if len(sc.pts) == maxRows || !s.next('[') {
+			return false
+		}
+		start := len(sc.coords)
+		if !s.next(']') {
+			for {
+				v, ok := s.int(strconv.IntSize)
+				if !ok || len(sc.coords)-start == maxTileDim {
+					return false
+				}
+				sc.coords = append(sc.coords, int(v))
+				if !s.next(',') {
+					break
+				}
+			}
+			if !s.next(']') {
+				return false
+			}
+		}
+		sc.pts = append(sc.pts, sc.coords[start:])
+		if !s.next(',') {
+			return s.next(']')
+		}
+	}
+}
+
+// int reads an integer literal that fits a signed integer of the given
+// bits. It reports false for a malformed literal or an overflow; the
+// caller rejects a fraction or exponent, which follows the digits.
+func (s *jsonScanner) int(bits int) (int64, bool) {
+	s.space()
+	data, i := s.data, s.off
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	limit := uint64(1) << (bits - 1) // the magnitude of the most negative value
+	if !neg {
+		limit--
+	}
+	digits := i
+	var u uint64
+	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+		u = u*10 + uint64(data[i]-'0')
+	}
+	// 19 digits cannot wrap u; more cannot fit any int.
+	if n := i - digits; n == 0 || n > 19 || n > 1 && data[digits] == '0' || u > limit {
+		return 0, false
+	}
+	s.off = i
+	if neg {
+		return -int64(u), true
+	}
+	return int64(u), true
 }
 
 // DecodeTileSpec parses a TileSpec JSON document and resolves it to a

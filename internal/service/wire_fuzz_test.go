@@ -10,14 +10,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"tilingsched/internal/lattice"
 )
 
-// FuzzDecodeBatchRequest checks that batch decoding never panics and
-// that every accepted request satisfies the structural contract:
-// exactly one of points/window, batch within MaxBatch, window expansion
-// within MaxWindow.
+// FuzzDecodeBatchRequest checks that batch decoding never panics, that
+// every accepted request satisfies the structural contract (exactly one
+// of points/window, batch within MaxBatch, window expansion within
+// MaxWindow), and that wherever the canonical scanner takes a body the
+// funnel returns exactly what the encoding/json reference does: the
+// same request and window, or the same error.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	seeds := []string{
 		`{"plan":{"tile":{"name":"cross:2:1"}},"points":[[3,4],[0,0]]}`,
@@ -33,6 +39,25 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 		`{"points":[null,[]]}`,                                   // degenerate points
 		`{"plan":{"tile":{"name":"cross:2:1"}},"points":[[3,4]],"t":-1}`,
 		`not json`, `{"window":`, `[]`, `42`, `{}`,
+		// The scanner's edge and deferral cases.
+		` { "points" : [ [ 1 , -2 ] , [ ] ] , "t" : 9 } ` + "\n",
+		`{"p\u006fints":[[1,2]]}`,           // escaped key
+		`{"Points":[[1,2]]}`,                // case-variant key
+		`{"points":[[1,2]],"points":[[3]]}`, // duplicate key
+		`{"points":[[1,2]],"extra":1}`,      // unknown key
+		`{"points":[[1.0,2]]}`,              // fraction
+		`{"points":[[1e2,2]]}`,              // exponent
+		`{"points":[[-0,-1]]}`,              // negative zero
+		`{"points":[[01]]}`,                 // leading zero
+		`{"points":[[9223372036854775807,-9223372036854775808]]}`,
+		`{"points":[[9223372036854775808]]}`, // int overflow
+		`{"points":[[18446744073709551617]]}`,
+		`{"points":[[1]],"t":-9223372036854775809}`,
+		`{"points":null}`, `{"points":[[1],null]}`, `{"plan":null,"points":[[1]]}`,
+		`{"points":[[1,2]]}x`, `{"points":[[1,2]]}{}`, // trailing bytes
+		`{"points":[[1,2],]}`, `{"points":[[1,2]],}`,
+		`{"plan":{"tile":{"name":"}]\"{"}},"points":[[0]]}`,
+		`{"window":{"lo":[0],"hi":[2]},"points":[]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s), 8, 64)
@@ -40,6 +65,10 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, maxBatch, maxWindow int) {
 		lim := Limits{MaxBatch: maxBatch, MaxWindow: maxWindow}.withDefaults()
 		req, win, err := DecodeBatchRequest(data, Limits{MaxBatch: maxBatch, MaxWindow: maxWindow})
+		var sc BinScratch
+		if _, scanned := scanBatch(data, lim.MaxBatch, &sc); scanned {
+			matchReference(t, data, lim, req, win, err)
+		}
 		if err != nil {
 			return
 		}
@@ -65,6 +94,91 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// matchReference fails unless a scanned body's decode (req, win, err)
+// is exactly what encoding/json alone makes of it, and unless the
+// scanned rows are capacity-limited.
+func matchReference(t *testing.T, data []byte, lim Limits, req BatchRequest, win *lattice.Window, err error) {
+	t.Helper()
+	ref, refErr := unmarshalBatch(data)
+	var refWin *lattice.Window
+	if refErr == nil {
+		refWin, refErr = checkBatch(len(ref.Points), ref.Window, lim)
+	}
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("scanned %q: err %v, reference err %v", data, err, refErr)
+	}
+	if err != nil {
+		if err.Error() != refErr.Error() || errors.Is(err, ErrSpec) != errors.Is(refErr, ErrSpec) ||
+			errors.Is(err, ErrLimit) != errors.Is(refErr, ErrLimit) {
+			t.Fatalf("scanned %q: err %v, reference err %v", data, err, refErr)
+		}
+		return
+	}
+	if !reflect.DeepEqual(req.Plan, ref.Plan) || req.T != ref.T || !reflect.DeepEqual(req.Window, ref.Window) {
+		t.Fatalf("scanned %q: %+v, reference %+v", data, req, ref)
+	}
+	if (win == nil) != (refWin == nil) || win != nil && (!win.Lo.Equal(refWin.Lo) || !win.Hi.Equal(refWin.Hi)) {
+		t.Fatalf("scanned %q: window %v, reference %v", data, win, refWin)
+	}
+	if win != nil {
+		return
+	}
+	if len(req.Points) != len(ref.Points) {
+		t.Fatalf("scanned %q: %d rows, reference %d", data, len(req.Points), len(ref.Points))
+	}
+	for i, row := range req.Points {
+		if !slices.Equal(row, ref.Points[i]) || cap(row) != len(row) {
+			t.Fatalf("scanned %q: row %d = %v (cap %d), reference %v", data, i, row, cap(row), ref.Points[i])
+		}
+	}
+}
+
+// TestScanBatchShape pins which bodies the canonical scanner takes and
+// which it leaves to the encoding/json reference.
+func TestScanBatchShape(t *testing.T) {
+	cases := []struct {
+		body    string
+		scanned bool
+	}{
+		{`{"plan":{"tile":{"name":"cross:2:1"}},"points":[[3,4],[0,0]]}`, true},
+		{`{"plan":{"lattice":"hexagonal","tile":{"name":"ball:1"}},"window":{"lo":[0,0],"hi":[9,9]},"t":-7}`, true},
+		{"\t{ \"t\":1,\r\n\"points\" : [[ -0 ],[]] } \n", true},
+		{`{"points":[[9223372036854775807,-9223372036854775808]]}`, true},
+		{`{}`, true},
+		{`{"points":[]}`, true},
+		{`{"plan":{"Tile":{"name":"cross:2:1"}},"points":[[1]]}`, true}, // plan semantics are json.Unmarshal's
+		{`{"p\u006fints":[[1,2]]}`, false},
+		{`{"Points":[[1,2]]}`, false},
+		{`{"points":[[1,2]],"points":[[3]]}`, false},
+		{`{"points":[[1,2]],"extra":1}`, false},
+		{`{"points":[[1.0]]}`, false},
+		{`{"points":[[1e2]]}`, false},
+		{`{"points":[[01]]}`, false},
+		{`{"points":[[9223372036854775808]]}`, false},
+		{`{"points":[[-9999999999999999999]]}`, false},
+		{`{"points":[[18446744073709551617]]}`, false}, // wraps uint64 to 1
+		{`{"points":[[1]],"t":-9223372036854775809}`, false},
+		{`{"points":[[1]],"t":null}`, false},
+		{`{"points":[null]}`, false},
+		{`{"points":null}`, false},
+		{`{"plan":null,"points":[[1]]}`, false},
+		{`{"window":null,"points":[[1]]}`, false},
+		{`{"plan":{"tile":5},"points":[[1]]}`, false},
+		{`{"points":[[1,2]]}x`, false},
+		{`{"points":[[1,2],]}`, false},
+		{`{"points":[[` + strings.Repeat("0,", maxTileDim) + `0]]}`, false},
+		{`{"points":[` + strings.Repeat(`[0],`, 8) + `[0]]}`, false}, // over MaxBatch
+		{`[]`, false},
+		{``, false},
+	}
+	for _, c := range cases {
+		var sc BinScratch
+		if _, scanned := scanBatch([]byte(c.body), 8, &sc); scanned != c.scanned {
+			t.Errorf("scanBatch(%q) scanned = %v, want %v", c.body, scanned, c.scanned)
+		}
+	}
 }
 
 // FuzzDecodeTileSpec checks that tile decoding never panics, that
