@@ -603,8 +603,8 @@ func BenchmarkServiceHTTPBatch(b *testing.B) {
 
 // BenchmarkDynamicMutateHTTP measures the dynamic-deployment mutation
 // path end to end: a leave + rejoin batch against an in-process
-// latticed-equivalent server — session lookup, overlay patch, repair
-// coloring, delta encoding, and JSON on both sides.
+// latticed-equivalent server — session lookup, live-set apply, delta
+// encoding, and JSON on both sides.
 func BenchmarkDynamicMutateHTTP(b *testing.B) {
 	srv := httptest.NewServer(service.NewServer(service.NewRegistry(8), service.ServerOptions{}))
 	defer srv.Close()

@@ -1,8 +1,8 @@
 // Command latticed serves tiling schedules over HTTP: compile a plan
 // once, answer batches of SlotOf / MayBroadcast queries with O(1)
 // integer arithmetic per point, and churn dynamic deployment sessions
-// with bounded-disruption rescheduling (internal/service +
-// internal/dynamic).
+// whose every live sensor keeps its Theorem 1 slot, so churn
+// reschedules no one (internal/service).
 //
 // Usage:
 //
@@ -41,7 +41,7 @@
 //	GET  /metrics               Prometheus text exposition (always on):
 //	                            request/error/latency by endpoint × codec,
 //	                            phase and batch-size histograms, plan-cache
-//	                            and session traffic, dynamic repair tiers,
+//	                            and session traffic, applied events by op,
 //	                            per-plan traffic top-K, Go runtime stats
 //	GET  /statusz               live introspection (always on): sessions with
 //	                            epochs, subscriber counts, queue depths, WAL

@@ -4,7 +4,7 @@ package main
 // valid Prometheus text exposition whose numbers match the traffic the
 // handler actually served — per-endpoint × codec request counts and
 // latency histograms, plan-registry hit/miss counters, dynamic-session
-// and repair metrics, the per-plan traffic sketch, and the Go runtime
+// and event metrics, the per-plan traffic sketch, and the Go runtime
 // families appended by the daemon. A second test scrapes concurrently
 // with live mutate churn to pin the weakly-consistent snapshot
 // contract (counters never go backwards between scrapes).

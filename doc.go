@@ -81,9 +81,9 @@
 // carries its own obs.Registry — no process globals, and no second
 // counter store — recording per-endpoint × codec
 // requests/errors/latency, decode/engine/encode phase splits,
-// batch-size and repair-tier distributions, plan-cache and session
-// traffic, and per-plan-signature point volume. One record per request
-// holds its phase boundaries, one clock read each, and feeds the phase
+// batch-size distributions, plan-cache and session traffic, applied
+// events by op, and per-plan-signature point volume. One record per
+// request holds its phase boundaries, one clock read each, and feeds the phase
 // histograms, the span trace and the slow log alike. cmd/latticed
 // always serves GET /metrics; -slow-ms samples requests past a
 // threshold into the log with their phase split. The instrumentation
@@ -105,16 +105,16 @@
 //     100k vertices vs 73 ms for the rebuild it replaces;
 //     BENCH_<date>_dynamic.json). Compaction re-freezes the overlay
 //     when the delta exceeds a threshold.
-//   - dynamic.Mutator repairs the slot assignment with bounded
-//     disruption: smallest-free-slot joins, then damage-region
-//     DSATUR-repair (the joining vertex plus its saturated neighbors,
-//     exterior colors fixed), then — only when the color budget is
-//     provably exhausted — a full recolor. Every Apply reports a
-//     Disruption and the changed slot assignments as deltas.
+//   - dynamic.Mutator keeps the slot assignment valid: a join takes its
+//     seed slot when no live neighbor holds it (with a Theorem 1 seed,
+//     always); non-tiling seeds fall back to smallest-free-slot joins,
+//     damage-region DSATUR-repair, then a full recolor. Every Apply
+//     reports a Disruption and the changed slot assignments as deltas.
 //   - The service layer exposes sessions over POST /v1/plan:mutate,
 //     keyed by core.Signature + window and versioned by an epoch, so
 //     latticed clients track churn from delta responses without
-//     re-downloading schedules. Sessions also push (DESIGN.md §13):
+//     re-downloading schedules. A session is its live set, every slot
+//     computed as plan.SlotOf(p). Sessions also push (DESIGN.md §13):
 //     POST /v1/plan:subscribe streams one delta per applied batch in
 //     either codec, catching stale subscribers up from the session WAL
 //     when -data covers the gap and answering a full resync otherwise,

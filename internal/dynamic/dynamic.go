@@ -7,14 +7,18 @@
 // (any adjacency mode of internal/graph) in a delta Overlay — tombstone
 // bitset, added vertices, edge patches computed by a bounded
 // graph.SiteScanner probe — and keeps a valid coloring across events
-// with bounded disruption. A Join is colored with the smallest slot free
-// among its live neighbors; when none fits the color budget, a
+// with bounded disruption. A Join first takes its seed slot — the slot
+// the seed schedule gives its position, inside the window or out — when
+// no live neighbor holds it; with a Theorem 1 seed that is always the
+// case (the tiling schedule is collision-free on every subset of the
+// lattice), so such a mutator never leaves the paper's schedule. Failing
+// that (no seed, or a non-tiling seed), the Join takes the smallest slot
+// free among its live neighbors; when none fits the color budget, a
 // DSATUR-repair recolors only the damage region (the joining vertex plus
 // its saturated neighbors), and only when even that fails does the
 // Mutator fall back to a full recolor. Every Apply reports a Disruption
 // (how many existing sensors were reassigned, how the palette moved) and
-// the changed slot assignments, which the service layer forwards to
-// clients as deltas.
+// the changed slot assignments.
 //
 // Cost model: one mutation touches the p ± 2·reach bounding box —
 // O(box · |N|) probes — against the O(n · box · |N|) of a from-scratch
@@ -29,7 +33,6 @@ package dynamic
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"tilingsched/internal/graph"
 	"tilingsched/internal/lattice"
@@ -141,10 +144,6 @@ type Options struct {
 	// (added vertices + dead base vertices) exceeds it; 0 means
 	// DefaultCompactThreshold, negative disables auto-compaction.
 	CompactThreshold int
-	// Metrics, when non-nil, receives the mutator's telemetry (event
-	// counts by op, repair-tier counts, disruption and compaction
-	// histograms). Nil disables recording at zero cost.
-	Metrics *Metrics
 }
 
 // DefaultCompactThreshold is the overlay size (added vertices plus dead
@@ -158,28 +157,28 @@ const DefaultCompactThreshold = 4096
 // repair coloring. Single-writer: see the package comment.
 type Mutator struct {
 	ov      *Overlay
-	colors  []int32 // per vertex id; -1 dead or uncolored
-	palette int     // high-water slot count
+	seed    schedule.Schedule // nil: no seed slot to prefer
+	colors  []int32           // per vertex id; -1 dead or uncolored
+	palette int               // high-water slot count
 	budget  int
 	thresh  int
 	stats   Stats
-	met     *Metrics // nil disables telemetry
 }
 
 // NewMutator builds a mutator over the deployment restricted to the
 // window, with every window position initially hosting a sensor. init
-// seeds the slot assignment (e.g. the plan's Theorem 1 schedule, which
-// makes every in-window rejoin zero-disruption); a nil init seeds with a
-// DSATUR coloring of the base graph. The seed coloring is trusted to be
-// collision-free — Verify checks it on demand, and the oracle tests pin
-// the maintained coloring valid after every event.
+// seeds the slot assignment and stays the first choice for every later
+// Join (e.g. the plan's Theorem 1 schedule, under which every join, in
+// the window or out, keeps its seed slot and disrupts nothing); a nil
+// init seeds with a DSATUR coloring of the base graph. The seed coloring
+// is trusted to be collision-free — Verify checks it on demand, and the
+// oracle tests pin the maintained coloring valid after every event.
 func NewMutator(dep schedule.Deployment, w lattice.Window, init schedule.Schedule, opts Options) (*Mutator, error) {
 	ov, err := newOverlay(dep, w, opts.BaseMode, opts.Residues)
 	if err != nil {
 		return nil, err
 	}
-	m := &Mutator{ov: ov, thresh: opts.CompactThreshold, met: opts.Metrics}
-	ov.met = opts.Metrics
+	m := &Mutator{ov: ov, seed: init, thresh: opts.CompactThreshold}
 	if m.thresh == 0 {
 		m.thresh = DefaultCompactThreshold
 	}
@@ -280,12 +279,10 @@ func (m *Mutator) Apply(events []Event) (Disruption, []SlotChange, error) {
 		d.Events++
 	}
 	d.ColorsDelta = m.palette - startPalette
-	m.met.recordApply(d.Reassigned)
 	// Materialize the deltas before any compaction: the touched set holds
 	// vertex ids, which a compaction renumbers.
 	changed := m.changes(touched, departed)
 	if m.thresh > 0 && m.ov.OverlaySize() > m.thresh {
-		compactStart := time.Now()
 		remap, err := m.ov.compact()
 		if err != nil {
 			return d, changed, err
@@ -303,7 +300,6 @@ func (m *Mutator) Apply(events []Event) (Disruption, []SlotChange, error) {
 			m.colors = fresh
 			d.Compacted = true
 			m.stats.Compactions++
-			m.met.recordCompaction(time.Since(compactStart))
 		}
 	}
 	return d, changed, nil
@@ -344,14 +340,12 @@ func (m *Mutator) applyOne(ev Event, d *Disruption, touched map[int]struct{}, de
 		} else {
 			m.stats.Leaves++
 		}
-		m.met.recordEvent(ev.Kind)
 		return nil
 	case Join:
 		if err := m.joinAndColor(ev.P, d, touched, departed); err != nil {
 			return err
 		}
 		m.stats.Joins++
-		m.met.recordEvent(Join)
 		return nil
 	case Move:
 		// Leave + Join as one event: validate the destination — right
@@ -376,15 +370,14 @@ func (m *Mutator) applyOne(ev Event, d *Disruption, touched map[int]struct{}, de
 			return err
 		}
 		m.stats.Moves++
-		m.met.recordEvent(Move)
 		return nil
 	}
 	return fmt.Errorf("%w: unknown event kind %d", ErrDynamic, ev.Kind)
 }
 
-// joinAndColor activates a sensor and assigns it a slot: smallest free
-// within budget, else DSATUR-repair of the damage region, else full
-// recolor.
+// joinAndColor activates a sensor and assigns it a slot: its seed slot
+// when no live neighbor holds it, else the smallest free within budget,
+// else DSATUR-repair of the damage region, else full recolor.
 func (m *Mutator) joinAndColor(p lattice.Point, d *Disruption, touched map[int]struct{}, departed map[int]lattice.Point) error {
 	id, err := m.ov.join(p)
 	if err != nil {
@@ -395,13 +388,16 @@ func (m *Mutator) joinAndColor(p lattice.Point, d *Disruption, touched map[int]s
 		m.colors = append(m.colors, -1)
 	}
 	d.Joined++
-	if c, ok := m.smallestFree(id); ok {
+	c, ok := m.seedFree(id, p)
+	if !ok {
+		c, ok = m.smallestFree(id)
+	}
+	if ok {
 		m.colors[id] = int32(c)
 		if c+1 > m.palette {
 			m.palette = c + 1
 		}
 		touched[id] = struct{}{}
-		m.met.recordRepair(tierSmallest)
 		return nil
 	}
 	m.stats.Repairs++
@@ -410,11 +406,9 @@ func (m *Mutator) joinAndColor(p lattice.Point, d *Disruption, touched map[int]s
 		for _, v := range damage {
 			touched[v] = struct{}{}
 		}
-		m.met.recordRepair(tierRegion)
 		return nil
 	}
 	m.stats.FullRecolors++
-	m.met.recordRepair(tierFull)
 	d.FullRecolor = true
 	reassigned, err := m.fullRecolor(id, touched)
 	if err != nil {
@@ -422,6 +416,25 @@ func (m *Mutator) joinAndColor(p lattice.Point, d *Disruption, touched map[int]s
 	}
 	d.Reassigned += reassigned
 	return nil
+}
+
+// seedFree returns the seed schedule's slot for vertex v at p when no
+// live neighbor holds it. The seed slot may lie beyond the budget (a
+// window missing some of the seed's slots), so it is not budget-bound.
+func (m *Mutator) seedFree(v int, p lattice.Point) (int, bool) {
+	if m.seed == nil {
+		return 0, false
+	}
+	c, err := m.seed.SlotOf(p)
+	if err != nil {
+		return 0, false
+	}
+	free := true
+	m.ov.EachNeighbor(v, func(u int) bool {
+		free = int(m.colors[u]) != c
+		return free
+	})
+	return c, free
 }
 
 // smallestFree returns the smallest slot below the budget unused by v's

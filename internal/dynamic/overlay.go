@@ -57,8 +57,6 @@ type Overlay struct {
 	patchEdges int
 
 	site *graph.SiteScanner
-
-	met *Metrics // nil disables telemetry; survives compaction
 }
 
 // newOverlay builds the overlay's base graph over the window in the
@@ -285,7 +283,6 @@ func (o *Overlay) join(p lattice.Point) (int, error) {
 				o.addPatch(id, v)
 			}
 		}
-		o.met.recordPatchRow(len(o.patch[id]))
 		return id, nil
 	}
 	if err := o.site.Reset(q); err != nil {
@@ -326,7 +323,6 @@ func (o *Overlay) join(p lattice.Point) (int, error) {
 			o.addPatch(id, v)
 		}
 	}
-	o.met.recordPatchRow(len(o.patch[id]))
 	return id, nil
 }
 
@@ -442,9 +438,6 @@ func (o *Overlay) compact() ([]int32, error) {
 		fresh.setAlive(j, true)
 		remap[v] = int32(j)
 	}
-	// The fresh overlay was built without a Metrics handle; carry the
-	// old one over so telemetry survives the re-freeze.
-	fresh.met = o.met
 	*o = *fresh
 	return remap, nil
 }

@@ -1,10 +1,11 @@
 package service
 
-// Dynamic-deployment sessions: the serving-side face of internal/dynamic.
-// A session is a mutable deployment — a compiled plan restricted to a
-// window, churned by Join/Leave/Move/Fail events — identified by the
-// plan's canonical core.Signature plus the window, and versioned by an
-// epoch that increments once per applied mutation batch. Clients track
+// Dynamic-deployment sessions. A session is a mutable deployment — a
+// compiled plan restricted to a window, churned by Join/Leave/Move/Fail
+// events — identified by the plan's canonical core.Signature plus the
+// window, and versioned by an epoch that increments once per applied
+// mutation batch. Its whole state is its live set (liveset.go): every
+// live sensor holds its Theorem 1 slot plan.SlotOf(p). Clients track
 // churn by applying the delta responses (changed slot assignments) in
 // epoch order; an epoch mismatch means missed deltas, answered with 409
 // so the client resyncs with a full snapshot request.
@@ -24,14 +25,12 @@ import (
 
 	"tilingsched/internal/core"
 	"tilingsched/internal/dynamic"
-	"tilingsched/internal/graph"
 	"tilingsched/internal/lattice"
-	"tilingsched/internal/tiling"
 )
 
 // DefaultMaxSessions bounds the dynamic-session LRU when ServerOptions
-// leaves it zero. Sessions hold O(window) state (slot table + tombstone
-// bitset), so the bound is deliberately far below the plan cache's.
+// leaves it zero. Sessions hold O(window) state (a live bit per window
+// point), so the bound is deliberately far below the plan cache's.
 const DefaultMaxSessions = 16
 
 // sessionTable is the LRU of live dynamic sessions. Lookup and eviction
@@ -68,12 +67,6 @@ type sessionTable struct {
 	// logf receives operational log lines (dirty evictions, persistence
 	// recoveries); nil discards them.
 	logf func(format string, args ...any)
-
-	// baseMode, when not Auto, builds session mutators over an explicit
-	// conflict-graph mode instead of the implicit periodic stencil — a
-	// test hook for the subscriber oracle's mode sweep (production
-	// sessions always use identity residues).
-	baseMode graph.Mode
 }
 
 // dynSession is one mutable deployment.
@@ -82,7 +75,8 @@ type dynSession struct {
 	elem *list.Element
 
 	mu    sync.Mutex
-	mut   *dynamic.Mutator
+	plan  *core.Plan
+	live  *liveSet
 	epoch uint64
 	// disk is the session's WAL handle when persistence is on; nil once
 	// the session is evicted (appends stop, the on-disk flush stands).
@@ -118,12 +112,11 @@ func newSessionTable(capacity int, met *Metrics) *sessionTable {
 	}
 }
 
-// get returns the session for (plan, window), creating it on first use:
-// the mutator is seeded with the plan's Theorem 1 schedule over an
-// implicit periodic base graph, so creation costs O(window) slot lookups
-// and a stencil build, never an explicit edge materialization. With
-// persistence on, a session that was evicted (or predates this process)
-// restores from its snapshot + WAL instead of reseeding at epoch 0.
+// get returns the session for (plan, window), creating it on first use
+// with every window point live, which costs one bit per window point.
+// With persistence on, a session that was evicted (or predates this
+// process) restores from its snapshot + WAL instead of reseeding at
+// epoch 0.
 func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, error) {
 	key := plan.Signature() + "|" + w.String()
 	var build chan struct{}
@@ -165,30 +158,22 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 		close(build)
 		return nil, err
 	}
-	opts := st.dynOpts(w)
 	var (
-		mut   *dynamic.Mutator
+		live  *liveSet
 		disk  *sessionDisk
 		epoch uint64
-		err   error
 	)
 	if st.store != nil {
-		disk, mut, epoch, err = st.store.open(plan, w, opts)
-		if err != nil {
+		var err error
+		if disk, live, epoch, err = st.store.open(plan, w); err != nil {
 			return fail(err)
 		}
 	}
-	restored := mut != nil
-	if mut == nil {
-		mut, err = dynamic.NewMutator(plan.Deployment(), w, plan.Schedule(), opts)
-		if err != nil {
-			if disk != nil {
-				disk.close()
-			}
-			return fail(err)
-		}
+	restored := live != nil
+	if live == nil {
+		live = newLiveSet(w, true)
 	}
-	s := &dynSession{key: key, mut: mut, epoch: epoch, disk: disk}
+	s := &dynSession{key: key, plan: plan, live: live, epoch: epoch, disk: disk}
 	st.mu.Lock()
 	delete(st.building, key)
 	s.elem = st.lru.PushFront(s)
@@ -240,7 +225,7 @@ func (st *sessionTable) finishEvict(s *dynSession) {
 	epoch := s.epoch
 	if s.disk != nil {
 		if dirty {
-			if err := s.disk.snapshot(s.mut, s.epoch); err != nil {
+			if err := s.disk.snapshot(s.plan, s.live, s.epoch); err != nil {
 				st.logfSafe("latticed: flushing evicted session %s: %v", s.key, err)
 			}
 		}
@@ -281,7 +266,7 @@ func (st *sessionTable) flushAll() int {
 	for _, s := range live {
 		s.mu.Lock()
 		if s.disk != nil && s.epoch > 0 {
-			if err := s.disk.snapshot(s.mut, s.epoch); err != nil {
+			if err := s.disk.snapshot(s.plan, s.live, s.epoch); err != nil {
 				st.logfSafe("latticed: flushing session %s: %v", s.key, err)
 			} else {
 				n++
@@ -290,21 +275,6 @@ func (st *sessionTable) flushAll() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// dynOpts builds the mutator options every session of this table is
-// seeded, restored, and caught up with: the plan's implicit periodic
-// base (identity residues) plus the table's metrics sink — or, when the
-// oracle's mode hook forces an explicit adjacency mode, that mode with
-// no residues.
-func (st *sessionTable) dynOpts(w lattice.Window) dynamic.Options {
-	opts := dynamic.Options{Metrics: st.met.dyn}
-	if st.baseMode == graph.Auto {
-		opts.Residues = tiling.IdentityResidues(w.Dim())
-	} else {
-		opts.BaseMode = st.baseMode
-	}
-	return opts
 }
 
 // logfSafe logs through the table's sink when one is configured.
@@ -341,7 +311,9 @@ type MutateRequest struct {
 	Full   bool        `json:"full,omitempty"`
 }
 
-// DisruptionSpec is the wire form of dynamic.Disruption.
+// DisruptionSpec reports a mutate batch's events, joins and departures.
+// Sessions never reassign a sensor, so the fields kept from the wire
+// form of dynamic.Disruption — Reassigned onwards — are always zero.
 type DisruptionSpec struct {
 	Events      int  `json:"events"`
 	Joined      int  `json:"joined"`
@@ -361,8 +333,9 @@ type ChangeSpec struct {
 
 // MutateResponse answers a mutate request. Epoch is the session's epoch
 // after this batch; a client holding epoch E applies Changed to reach E.
-// On a 409 (stale epoch) the response carries the current epoch with no
-// changes, and the Error field says why.
+// M is the plan's slot count m. On a 409 (stale epoch) the response
+// carries the current epoch with no changes, and the Error field says
+// why.
 type MutateResponse struct {
 	Signature  string         `json:"signature"`
 	Epoch      uint64         `json:"epoch"`
@@ -399,9 +372,8 @@ func DecodeMutateRequest(data []byte, lim Limits) (MutateRequest, lattice.Window
 		return MutateRequest{}, lattice.Window{}, nil, fmt.Errorf("%w: no events and full not requested", ErrSpec)
 	}
 	// Growth bound: every event position must stay within MutateMargin of
-	// the session window, so the deployment's bounding window (which
-	// compaction re-freezes over, and which sizes the per-sensor tables)
-	// cannot be exploded by a single far-away join.
+	// the session window, so the live set's band (and the snapshot frame
+	// it widens) cannot be exploded by a single far-away join.
 	bound := growMargin(win)
 	events := make([]dynamic.Event, len(req.Events))
 	dim := win.Dim()
@@ -422,8 +394,7 @@ func DecodeMutateRequest(data []byte, lim Limits) (MutateRequest, lattice.Window
 // MutateMargin is how far outside its declared window a session's
 // deployment may grow: mutate events beyond window ± MutateMargin are
 // rejected (413). It bounds the session's worst-case bounding window —
-// and with it compaction cost and per-sensor table sizes — regardless of
-// event content.
+// and with it snapshot sizes — regardless of event content.
 const MutateMargin = 32
 
 // growMargin returns win widened by MutateMargin per axis, on fresh

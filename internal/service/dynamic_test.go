@@ -44,19 +44,17 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	if s1.mut.AliveCount() != 25 || s1.mut.Slots() != 5 {
-		t.Fatalf("seeded session off: alive=%d m=%d", s1.mut.AliveCount(), s1.mut.Slots())
+	if s1.live.alive != 25 {
+		t.Fatalf("seeded session off: alive=%d", s1.live.alive)
 	}
 	// Seed matches the plan schedule point for point.
 	var diverged bool
-	s1.mut.EachAssignment(func(p lattice.Point, slot int) bool {
-		want, err := plan.SlotOf(p)
-		if err != nil || slot != want {
+	for _, ch := range s1.live.appendAssignment(nil, plan) {
+		want, err := plan.SlotOf(ch.P)
+		if err != nil || ch.Slot != want || !w1.Contains(ch.P) {
 			diverged = true
-			return false
 		}
-		return true
-	})
+	}
 	if diverged {
 		t.Fatal("session seed diverges from the plan schedule")
 	}

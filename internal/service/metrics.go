@@ -122,11 +122,14 @@ type Metrics struct {
 	regHits, regMisses, regCompilations *obs.Counter
 	regEvictions, regErrors, regDedup   *obs.Counter
 
-	// Dynamic-session traffic.
+	// Dynamic-session traffic; opEvents counts applied events by
+	// dynamic.EventKind, sessReanchored restores re-anchored (§12).
 	sessLive                             *obs.Gauge
 	sessCreated, sessEvicted             *obs.Counter
 	sessEvictedDirty, sessRestored       *obs.Counter
+	sessReanchored                       *obs.Counter
 	sessMutations, sessEvents, sessConfl *obs.Counter
+	opEvents                             [dynamic.Move + 1]*obs.Counter
 
 	// Session-persistence plane (DESIGN.md §12): WAL appends and their
 	// wall time, per-record fsyncs, snapshot writes, events replayed on
@@ -159,10 +162,6 @@ type Metrics struct {
 	lagTimeNs     [numLagQs]*obs.Gauge
 	propExSeq     atomic.Uint64
 	propExemplars [propExemplarRing]atomic.Pointer[PropExemplar]
-
-	// Dyn is the dynamic-subsystem telemetry, registered in the same
-	// registry and passed to every session's Mutator.
-	dyn *dynamic.Metrics
 
 	slowThreshold time.Duration
 	slowLog       func(SlowRequest)
@@ -204,9 +203,13 @@ func newServerMetrics(opts ServerOptions) *Metrics {
 	m.sessEvicted = r.Counter("latticed_sessions_evicted_total")
 	m.sessEvictedDirty = r.Counter("latticed_sessions_evicted_dirty_total")
 	m.sessRestored = r.Counter("latticed_sessions_restored_total")
+	m.sessReanchored = r.Counter("latticed_sessions_reanchored_total")
 	m.sessMutations = r.Counter("latticed_mutations_total")
 	m.sessEvents = r.Counter("latticed_mutation_events_total")
 	m.sessConfl = r.Counter("latticed_epoch_conflicts_total")
+	for k := range m.opEvents {
+		m.opEvents[k] = r.Counter(`latticed_dynamic_events_total{op="` + dynamic.EventKind(k).String() + `"}`)
+	}
 	m.walAppends = r.Counter("latticed_wal_appends_total")
 	m.walFsyncs = r.Counter("latticed_wal_fsyncs_total")
 	m.snapshots = r.Counter("latticed_snapshots_total")
@@ -230,7 +233,6 @@ func newServerMetrics(opts ServerOptions) *Metrics {
 		m.lagEpochs[q] = r.Gauge(`latticed_subscriber_lag_epochs{q="` + name + `"}`)
 		m.lagTimeNs[q] = r.Gauge(`latticed_subscriber_lag_ns{q="` + name + `"}`)
 	}
-	m.dyn = dynamic.NewMetrics(r)
 	return m
 }
 

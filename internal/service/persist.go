@@ -10,9 +10,10 @@ package service
 //	<id>.wal    header frame (identity, base epoch) followed by one
 //	            record frame per applied mutation batch: the post-batch
 //	            epoch stamp and the applied events, CRC-guarded.
-//	<id>.snap   one frame holding the identity plus a dynamic.State
-//	            (bounding window, slot table with tombstones) at a
-//	            snapshot epoch, CRC-guarded, written via tmp + rename.
+//	<id>.snap   one frame holding the identity plus the session's live
+//	            set at a snapshot epoch — the bounding window of the
+//	            live points and one slot per position, -1 where no
+//	            sensor is live — CRC-guarded, written via tmp + rename.
 //
 // <id> is a hash of the session key (plan signature + window), and both
 // headers carry the full identity — lattice name, tile points, window —
@@ -37,6 +38,10 @@ package service
 //     assignment.
 //   - Epochs re-derive from the files: the session resumes at the
 //     snapshot epoch plus one per replayed record.
+//   - Restore re-anchors state another slot policy wrote: a version-1
+//     file, or a stored slot that is not plan.SlotOf(p), moves the
+//     session to epoch + 1 behind a fresh snapshot, so no client copy
+//     of the old slots is ever patched with Theorem-1 deltas.
 //
 // Fsync policy: snapshot writes always sync before rename, and every
 // rename is followed by an fsync of the data directory (a rename whose
@@ -85,8 +90,9 @@ type PersistOptions struct {
 const DefaultSnapshotEvery = 4096
 
 // persistVersion is the on-disk format version, bumped on any frame
-// grammar change.
-const persistVersion = 1
+// grammar or meaning change. Version 2 keeps version 1's grammar, but
+// its snapshot slots are always plan.SlotOf(p); version 1 still decodes.
+const persistVersion = 2
 
 // Persistence frame types (disjoint from the wire protocol's for
 // clarity; the files never share a stream with HTTP frames).
@@ -145,6 +151,11 @@ type sessIdent struct {
 	lat  string
 	tile []lattice.Point
 	win  lattice.Window
+}
+
+// same reports whether two identities name the same session.
+func (id sessIdent) same(o sessIdent) bool {
+	return id.sig == o.sig && id.win.Lo.Equal(o.win.Lo) && id.win.Hi.Equal(o.win.Hi)
 }
 
 // identOf derives the identity from a live (plan, window) pair.
@@ -264,56 +275,67 @@ func decodeIdent(r *binwire.Reader) (sessIdent, error) {
 	return id, nil
 }
 
+// snapFrame is the session state a snapshot carries: the frame window
+// (the bounding window of the live points) and one slot per frame
+// position in IndexOf order, -1 where no sensor is live. m fills the
+// grammar's palette and budget fields; version is the decoded file's.
+type snapFrame struct {
+	version uint64
+	m       int
+	window  lattice.Window
+	slots   []int32
+}
+
 // encodeSnapshot builds the complete snapshot file contents.
-func encodeSnapshot(e *binwire.Buffer, id sessIdent, epoch uint64, st dynamic.State) {
+func encodeSnapshot(e *binwire.Buffer, id sessIdent, epoch uint64, sf snapFrame) {
 	off := beginCRCFrame(e, framePersistSnap)
 	e.Uvarint(persistVersion)
 	encodeIdent(e, id)
 	e.Uvarint(epoch)
-	e.Uvarint(uint64(st.Palette))
-	e.Uvarint(uint64(st.Budget))
+	e.Uvarint(uint64(sf.m)) // palette
+	e.Uvarint(uint64(sf.m)) // budget
 	dim := id.win.Dim()
 	for a := 0; a < dim; a++ {
-		e.Varint(int64(st.Window.Lo[a]))
+		e.Varint(int64(sf.window.Lo[a]))
 	}
 	for a := 0; a < dim; a++ {
-		e.Varint(int64(st.Window.Hi[a]))
+		e.Varint(int64(sf.window.Hi[a]))
 	}
-	e.Uvarint(uint64(len(st.Slots)))
-	for _, s := range st.Slots {
+	e.Uvarint(uint64(len(sf.slots)))
+	for _, s := range sf.slots {
 		e.Varint(int64(s))
 	}
 	endCRCFrame(e, off)
 }
 
-// decodeSnapshot parses a snapshot file.
-func decodeSnapshot(data []byte) (sessIdent, uint64, dynamic.State, error) {
+// decodeSnapshot parses a snapshot file. Every count is bounded by the
+// bytes left in the payload, so a hostile file cannot size a huge
+// allocation.
+func decodeSnapshot(data []byte) (sessIdent, uint64, snapFrame, error) {
+	fail := func(err error) (sessIdent, uint64, snapFrame, error) { return sessIdent{}, 0, snapFrame{}, err }
 	stream := binwire.NewReader(data)
 	typ, payload := stream.Frame()
 	if err := stream.Err(); err != nil {
-		return sessIdent{}, 0, dynamic.State{}, err
+		return fail(err)
 	}
 	if typ != framePersistSnap {
-		return sessIdent{}, 0, dynamic.State{}, fmt.Errorf("%w: frame %#x is not a snapshot", binwire.ErrMalformed, typ)
+		return fail(fmt.Errorf("%w: frame %#x is not a snapshot", binwire.ErrMalformed, typ))
 	}
 	r, err := crcBody(&payload)
 	if err != nil {
-		return sessIdent{}, 0, dynamic.State{}, err
+		return fail(err)
 	}
-	if v := r.Uvarint(); v != persistVersion {
-		if r.Err() == nil {
-			return sessIdent{}, 0, dynamic.State{}, fmt.Errorf("%w: snapshot version %d", binwire.ErrMalformed, v)
-		}
-		return sessIdent{}, 0, dynamic.State{}, r.Err()
+	var sf snapFrame
+	if sf.version = r.Uvarint(); r.Err() == nil && (sf.version < 1 || sf.version > persistVersion) {
+		return fail(fmt.Errorf("%w: snapshot version %d", binwire.ErrMalformed, sf.version))
 	}
 	id, err := decodeIdent(&r)
 	if err != nil {
-		return sessIdent{}, 0, dynamic.State{}, err
+		return fail(err)
 	}
 	epoch := r.Uvarint()
-	var st dynamic.State
-	st.Palette = r.Count(1<<31-1, "palette")
-	st.Budget = r.Count(1<<31-1, "budget")
+	sf.m = r.Count(1<<31-1, "palette")
+	r.Count(1<<31-1, "budget")
 	dim := id.win.Dim()
 	lo := make(lattice.Point, dim)
 	hi := make(lattice.Point, dim)
@@ -324,30 +346,29 @@ func decodeSnapshot(data []byte) (sessIdent, uint64, dynamic.State, error) {
 		hi[a] = int(r.Varint())
 	}
 	if err := r.Err(); err != nil {
-		return sessIdent{}, 0, dynamic.State{}, err
+		return fail(err)
 	}
-	w, err := lattice.NewWindow(lo, hi)
+	if sf.window, err = lattice.NewWindow(lo, hi); err != nil {
+		return fail(fmt.Errorf("%w: state window: %v", binwire.ErrMalformed, err))
+	}
+	size, err := sf.window.SizeChecked()
 	if err != nil {
-		return sessIdent{}, 0, dynamic.State{}, fmt.Errorf("%w: state window: %v", binwire.ErrMalformed, err)
+		return fail(fmt.Errorf("%w: state window: %v", binwire.ErrMalformed, err))
 	}
-	st.Window = w
-	size, err := w.SizeChecked()
-	if err != nil {
-		return sessIdent{}, 0, dynamic.State{}, fmt.Errorf("%w: state window: %v", binwire.ErrMalformed, err)
-	}
-	n := r.Count(size, "slot count")
+	// Each slot takes at least one varint byte.
+	n := r.Count(min(size, r.Remaining()), "slot count")
 	if r.Err() == nil && n != size {
-		return sessIdent{}, 0, dynamic.State{}, fmt.Errorf("%w: %d slots for a %d-point window", binwire.ErrMalformed, n, size)
+		return fail(fmt.Errorf("%w: %d slots for a %d-point window", binwire.ErrMalformed, n, size))
 	}
-	st.Slots = make([]int32, n)
-	for i := range st.Slots {
-		st.Slots[i] = int32(r.Varint())
+	sf.slots = make([]int32, n)
+	for i := range sf.slots {
+		sf.slots[i] = int32(r.Varint())
 	}
 	r.Done()
 	if err := r.Err(); err != nil {
-		return sessIdent{}, 0, dynamic.State{}, err
+		return fail(err)
 	}
-	return id, epoch, st, nil
+	return id, epoch, sf, nil
 }
 
 // encodeWALHeader builds the WAL's opening frame.
@@ -359,28 +380,27 @@ func encodeWALHeader(e *binwire.Buffer, id sessIdent, baseEpoch uint64) {
 	endCRCFrame(e, off)
 }
 
-// decodeWALHeader parses the WAL's opening frame payload.
-func decodeWALHeader(payload *binwire.Reader) (sessIdent, uint64, error) {
+// decodeWALHeader parses the WAL's opening frame payload: the identity,
+// the base epoch, and the format version.
+func decodeWALHeader(payload *binwire.Reader) (sessIdent, uint64, uint64, error) {
 	r, err := crcBody(payload)
 	if err != nil {
-		return sessIdent{}, 0, err
+		return sessIdent{}, 0, 0, err
 	}
-	if v := r.Uvarint(); v != persistVersion {
-		if r.Err() == nil {
-			return sessIdent{}, 0, fmt.Errorf("%w: WAL version %d", binwire.ErrMalformed, v)
-		}
-		return sessIdent{}, 0, r.Err()
+	v := r.Uvarint()
+	if r.Err() == nil && (v < 1 || v > persistVersion) {
+		return sessIdent{}, 0, 0, fmt.Errorf("%w: WAL version %d", binwire.ErrMalformed, v)
 	}
 	id, err := decodeIdent(&r)
 	if err != nil {
-		return sessIdent{}, 0, err
+		return sessIdent{}, 0, 0, err
 	}
 	base := r.Uvarint()
 	r.Done()
 	if err := r.Err(); err != nil {
-		return sessIdent{}, 0, err
+		return sessIdent{}, 0, 0, err
 	}
-	return id, base, nil
+	return id, base, v, nil
 }
 
 // encodeWALRecord builds one record frame: the post-batch epoch stamp
@@ -505,17 +525,18 @@ func (d *sessionDisk) shouldSnapshot() bool {
 	return d.store.snapEvery > 0 && d.walEvents >= d.store.snapEvery
 }
 
-// snapshot checkpoints the mutator: the state is written to a temp
+// snapshot checkpoints the live set: the state is written to a temp
 // file, fsynced, renamed over the snapshot path, and only then is the
 // WAL reset to an empty log based at the snapshot epoch. A crash
 // between the two steps leaves stale WAL records, which replay skips by
 // epoch (idempotence).
-func (d *sessionDisk) snapshot(mut *dynamic.Mutator, epoch uint64) error {
+func (d *sessionDisk) snapshot(plan *core.Plan, live *liveSet, epoch uint64) error {
 	start := time.Now()
 	snapPath, walPath := d.store.paths(d.id)
 	e := binwire.Get()
 	defer binwire.Put(e)
-	encodeSnapshot(e, d.ident, epoch, mut.State())
+	fw, slots := live.frame(plan)
+	encodeSnapshot(e, d.ident, epoch, snapFrame{m: plan.Slots(), window: fw, slots: slots})
 	if err := writeFileSync(snapPath, e.Bytes()); err != nil {
 		return fmt.Errorf("service: writing snapshot: %w", err)
 	}
@@ -620,38 +641,48 @@ func replaceFileSync(path string, data []byte) (*os.File, error) {
 
 // --- Open / restore -------------------------------------------------------
 
+// restored is the state a session's files fold into.
+type restored struct {
+	live  *liveSet // nil: nothing on disk to restore
+	epoch uint64
+	stale bool // a version-1 file was read, or a stored slot is off the plan
+}
+
 // open attaches a session to its on-disk state. When a snapshot or WAL
-// exists, the session is restored — snapshot state first, then every
-// WAL record above the restored epoch replayed through the normal Apply
-// path — and the returned mutator is non-nil with the re-derived epoch.
-// When nothing (usable) is on disk, the returned mutator is nil and the
-// caller seeds a fresh session; either way the returned disk handle is
-// ready for appends. Corrupt tails and unreadable files are recovered
-// (truncate / recreate) and counted, never fatal; only real I/O errors
-// fail the open.
-func (st *SessionStore) open(plan *core.Plan, w lattice.Window, dopts dynamic.Options) (*sessionDisk, *dynamic.Mutator, uint64, error) {
+// exists, the session is restored — the snapshot's live points first,
+// then every WAL record above the restored epoch folded in through the
+// normal apply path — and the returned live set is non-nil with the
+// re-derived epoch. State another slot policy wrote is re-anchored: the
+// epoch moves one past it and a fresh snapshot replaces the files, so
+// every client copy at an older epoch must resync. When nothing
+// (usable) is on disk, the returned set is nil and the caller seeds a
+// fresh session; either way the returned disk handle is ready for
+// appends. Corrupt tails and unreadable files are recovered (truncate /
+// recreate) and counted, never fatal; only real I/O errors fail the
+// open.
+func (st *SessionStore) open(plan *core.Plan, w lattice.Window) (*sessionDisk, *liveSet, uint64, error) {
 	ident := identOf(plan, w)
-	id := sessionFileID(ident.sig + "|" + w.String())
+	key := ident.sig + "|" + w.String()
+	id := sessionFileID(key)
 	snapPath, walPath := st.paths(id)
 	d := &sessionDisk{store: st, ident: ident, id: id}
 
-	var mut *dynamic.Mutator
-	var epoch uint64
+	var rs restored
 	if data, err := os.ReadFile(snapPath); err == nil {
-		sid, sepoch, state, derr := decodeSnapshot(data)
-		if derr == nil && sid.sig == ident.sig {
-			mut, derr = dynamic.NewMutatorFromState(plan.Deployment(), state, dopts)
-			if derr == nil {
-				epoch = sepoch
-			}
+		sid, sepoch, sf, derr := decodeSnapshot(data)
+		if derr == nil && !sid.same(ident) {
+			derr = fmt.Errorf("snapshot names session %s|%s", sid.sig, sid.win)
 		}
-		if derr != nil || mut == nil {
+		if derr == nil {
+			rs.live, rs.stale = foldFrame(plan, w, sf.window, sf.slots)
+			rs.epoch = sepoch
+			rs.stale = rs.stale || sf.version < persistVersion
+		} else {
 			st.logfSafe("latticed: dropping corrupt snapshot %s: %v", snapPath, derr)
 			if m := st.met; m != nil {
 				m.snapsDropped.Inc()
 			}
 			os.Remove(snapPath)
-			mut, epoch = nil, 0
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, nil, 0, fmt.Errorf("service: reading snapshot: %w", err)
@@ -660,17 +691,16 @@ func (st *SessionStore) open(plan *core.Plan, w lattice.Window, dopts dynamic.Op
 	walData, walErr := os.ReadFile(walPath)
 	switch {
 	case walErr == nil:
-		seeded := mut != nil
-		replayed, rmut, repoch, rerr := st.replay(plan, w, dopts, mut, epoch, walPath, walData)
+		seeded := rs.live != nil
+		replayed, rerr := st.replay(plan, w, &rs, walPath, walData)
 		if rerr != nil {
 			return nil, nil, 0, rerr
 		}
-		mut, epoch = rmut, repoch
 		// A WAL with no snapshot and no replayable records describes a
 		// session that never mutated: treat it as fresh so the caller
 		// seeds it (identical state, cheaper path).
-		if !seeded && replayed == 0 && mut != nil && epoch == 0 {
-			mut = nil
+		if !seeded && replayed == 0 {
+			rs.live = nil
 		}
 		if d.wal, walErr = os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644); walErr != nil {
 			return nil, nil, 0, fmt.Errorf("service: opening WAL: %w", walErr)
@@ -683,7 +713,7 @@ func (st *SessionStore) open(plan *core.Plan, w lattice.Window, dopts dynamic.Op
 	case os.IsNotExist(walErr):
 		// Fresh WAL based at the restored epoch (0 for a new session).
 		e := binwire.Get()
-		encodeWALHeader(e, ident, epoch)
+		encodeWALHeader(e, ident, rs.epoch)
 		hdrLen := int64(e.Len())
 		f, err := replaceFileSync(walPath, e.Bytes())
 		binwire.Put(e)
@@ -695,7 +725,22 @@ func (st *SessionStore) open(plan *core.Plan, w lattice.Window, dopts dynamic.Op
 	default:
 		return nil, nil, 0, fmt.Errorf("service: reading WAL: %w", walErr)
 	}
-	return d, mut, epoch, nil
+	if rs.stale {
+		if rs.live == nil {
+			rs.live = newLiveSet(w, true)
+		}
+		rs.epoch++
+		if err := d.snapshot(plan, rs.live, rs.epoch); err != nil {
+			d.close()
+			return nil, nil, 0, fmt.Errorf("service: re-anchoring: %w", err)
+		}
+		st.logfSafe("latticed: re-anchored session %s at epoch %d: its files held another slot policy's slots",
+			key, rs.epoch)
+		if m := st.met; m != nil {
+			m.sessReanchored.Inc()
+		}
+	}
+	return d, rs.live, rs.epoch, nil
 }
 
 // resetWAL replaces a log the restore cannot use (corrupt header, or a
@@ -716,41 +761,35 @@ func (st *SessionStore) resetWAL(ident sessIdent, walPath string, epoch uint64) 
 	return nil
 }
 
-// replay applies a WAL's records on top of the given state (nil mut:
-// seed from the plan schedule first). It truncates any torn tail and
-// returns the number of events replayed plus the final mutator and
-// epoch.
-func (st *SessionStore) replay(plan *core.Plan, w lattice.Window, dopts dynamic.Options, mut *dynamic.Mutator, epoch uint64, walPath string, data []byte) (int, *dynamic.Mutator, uint64, error) {
+// replay folds a WAL's records into rs (a nil live set is seeded from
+// the declared window first). It truncates any torn tail and returns
+// the number of events replayed.
+func (st *SessionStore) replay(plan *core.Plan, w lattice.Window, rs *restored, walPath string, data []byte) (int, error) {
 	r := binwire.NewReader(data)
 	typ, payload := r.Frame()
-	var base uint64
+	var base, version uint64
 	headerOK := r.Err() == nil && typ == framePersistWALHeader
 	if headerOK {
 		var herr error
-		_, base, herr = decodeWALHeader(&payload)
+		_, base, version, herr = decodeWALHeader(&payload)
 		headerOK = herr == nil
 	}
 	if !headerOK {
 		// Unusable header: the log carries nothing recoverable. Reset it.
 		st.logfSafe("latticed: resetting WAL with corrupt header %s", walPath)
-		if err := st.resetWAL(identOf(plan, w), walPath, epoch); err != nil {
-			return 0, nil, 0, err
-		}
-		return 0, mut, epoch, nil
+		return 0, st.resetWAL(identOf(plan, w), walPath, rs.epoch)
 	}
-	if base > epoch {
+	if base > rs.epoch {
 		// The log is based on state we do not have — the snapshot it was
 		// truncated against is lost, corrupt, or rolled back, so events
 		// 1..base are gone. Replaying the surviving suffix onto the
 		// restored (older or seed) state would fabricate a silently wrong
 		// assignment; reset to the state actually restored instead.
 		st.logfSafe("latticed: WAL %s based at epoch %d but restored state is at epoch %d: dropping unrecoverable log",
-			walPath, base, epoch)
-		if err := st.resetWAL(identOf(plan, w), walPath, epoch); err != nil {
-			return 0, nil, 0, err
-		}
-		return 0, mut, epoch, nil
+			walPath, base, rs.epoch)
+		return 0, st.resetWAL(identOf(plan, w), walPath, rs.epoch)
 	}
+	rs.stale = rs.stale || version < persistVersion
 
 	dim := w.Dim()
 	replayed := 0
@@ -772,22 +811,18 @@ func (st *SessionStore) replay(plan *core.Plan, w lattice.Window, dopts dynamic.
 			torn = true
 			break
 		}
-		if recEpoch > epoch {
-			if mut == nil {
-				var err error
-				mut, err = seedMutator(plan, w, dopts)
-				if err != nil {
-					return 0, nil, 0, err
-				}
+		if recEpoch > rs.epoch {
+			if rs.live == nil {
+				rs.live = newLiveSet(w, true)
 			}
-			if _, _, aerr := mut.Apply(events); aerr != nil {
+			if _, _, aerr := rs.live.apply(events); aerr != nil {
 				// A logged batch that no longer applies means the prefix
 				// up to here is the usable log; drop the rest.
 				st.logfSafe("latticed: WAL %s: replay stopped at epoch %d: %v", walPath, recEpoch, aerr)
 				torn = true
 				break
 			}
-			epoch = recEpoch
+			rs.epoch = recEpoch
 			replayed += len(events)
 		}
 		good = len(data) - r.Remaining()
@@ -799,38 +834,38 @@ func (st *SessionStore) replay(plan *core.Plan, w lattice.Window, dopts dynamic.
 			m.tornTails.Inc()
 		}
 		if err := os.Truncate(walPath, int64(good)); err != nil {
-			return 0, nil, 0, fmt.Errorf("service: truncating torn WAL: %w", err)
+			return 0, fmt.Errorf("service: truncating torn WAL: %w", err)
 		}
 	}
 	if m := st.met; m != nil && replayed > 0 {
 		m.replayedEvents.Add(uint64(replayed))
 	}
-	return replayed, mut, epoch, nil
+	return replayed, nil
 }
 
 // catchUp rebuilds the persisted delta history of (plan, w) for a stale
-// subscriber: one Delta per epoch in (from, to], oldest first, derived
-// by replaying the on-disk snapshot + WAL through a throwaway mutator.
-// Unlike replay it is strictly read-only — it runs concurrently with
-// the live session's appends (every record with epoch ≤ to is fully
-// written before the caller observed to under the session lock, so the
-// prefix it needs is stable; torn newer bytes are simply not reached) —
-// and it never truncates or resets files. ok is false whenever the gap
-// is not covered — snapshot already past from, unusable or rotated WAL,
-// a gap or torn tail before to — and the caller falls back to a full
-// resync.
-func (st *SessionStore) catchUp(plan *core.Plan, w lattice.Window, from, to uint64, dopts dynamic.Options) ([]*Delta, bool) {
+// subscriber: one Delta per epoch in (from, to], oldest first, folded
+// from the on-disk snapshot + WAL into a throwaway live set. Unlike
+// replay it is strictly read-only — it runs concurrently with the live
+// session's appends (every record with epoch ≤ to is fully written
+// before the caller observed to under the session lock, so the prefix
+// it needs is stable; torn newer bytes are simply not reached) — and it
+// never truncates or resets files. ok is false whenever the gap is not
+// covered — snapshot already past from, unusable or rotated WAL, a gap
+// or torn tail before to, state another slot policy wrote — and the
+// caller falls back to a full resync.
+func (st *SessionStore) catchUp(plan *core.Plan, w lattice.Window, from, to uint64) ([]*Delta, bool) {
 	if from >= to {
 		return nil, true
 	}
-	id := sessionFileID(plan.Signature() + "|" + w.String())
-	snapPath, walPath := st.paths(id)
+	ident := identOf(plan, w)
+	snapPath, walPath := st.paths(sessionFileID(ident.sig + "|" + w.String()))
 
-	var mut *dynamic.Mutator
+	var live *liveSet
 	var cur uint64
 	if data, err := os.ReadFile(snapPath); err == nil {
-		sid, sepoch, state, derr := decodeSnapshot(data)
-		if derr != nil || sid.sig != plan.Signature() {
+		sid, sepoch, sf, derr := decodeSnapshot(data)
+		if derr != nil || !sid.same(ident) || sf.version < persistVersion {
 			return nil, false
 		}
 		if sepoch > from {
@@ -838,7 +873,8 @@ func (st *SessionStore) catchUp(plan *core.Plan, w lattice.Window, from, to uint
 			// individual deltas are gone.
 			return nil, false
 		}
-		if mut, derr = dynamic.NewMutatorFromState(plan.Deployment(), state, dopts); derr != nil {
+		var stale bool
+		if live, stale = foldFrame(plan, w, sf.window, sf.slots); stale {
 			return nil, false
 		}
 		cur = sepoch
@@ -855,16 +891,14 @@ func (st *SessionStore) catchUp(plan *core.Plan, w lattice.Window, from, to uint
 	if r.Err() != nil || typ != framePersistWALHeader {
 		return nil, false
 	}
-	if _, base, herr := decodeWALHeader(&payload); herr != nil || base > cur {
+	if _, base, version, herr := decodeWALHeader(&payload); herr != nil || base > cur || version < persistVersion {
 		// base > cur: the log was rotated against a snapshot newer than
 		// the one read above (or the snapshot is missing) — its records
 		// would replay onto the wrong base.
 		return nil, false
 	}
-	if mut == nil {
-		if mut, err = seedMutator(plan, w, dopts); err != nil {
-			return nil, false
-		}
+	if live == nil {
+		live = newLiveSet(w, true)
 	}
 
 	dim := w.Dim()
@@ -887,31 +921,20 @@ func (st *SessionStore) catchUp(plan *core.Plan, w lattice.Window, from, to uint
 		if recEpoch != cur+1 {
 			return nil, false // a hole in the history
 		}
-		_, changed, aerr := mut.Apply(events)
+		_, touched, aerr := live.apply(events)
 		if aerr != nil {
 			return nil, false
 		}
 		cur = recEpoch
 		if cur > from {
-			d := &Delta{Epoch: cur, M: mut.Slots(), Alive: mut.AliveCount()}
-			d.Changed = make([]ChangeSpec, 0, len(changed))
-			for _, ch := range changed {
-				d.Changed = append(d.Changed, ChangeSpec{P: ch.P, Slot: ch.Slot})
-			}
-			deltas = append(deltas, d)
+			deltas = append(deltas, &Delta{Epoch: cur, M: plan.Slots(), Alive: live.alive,
+				Changed: live.changes(plan, touched)})
 		}
 	}
 	if cur < to {
 		return nil, false
 	}
 	return deltas, true
-}
-
-// seedMutator builds the epoch-0 session state: the plan's Theorem 1
-// schedule over the declared window (shared by sessionTable.get and
-// replay).
-func seedMutator(plan *core.Plan, w lattice.Window, dopts dynamic.Options) (*dynamic.Mutator, error) {
-	return dynamic.NewMutator(plan.Deployment(), w, plan.Schedule(), dopts)
 }
 
 // list scans the data directory and returns the identity of every
@@ -966,7 +989,7 @@ func (st *SessionStore) list() ([]sessIdent, error) {
 				st.logfSafe("latticed: skipping WAL with unreadable header %s", name)
 				continue
 			}
-			ident, _, derr := decodeWALHeader(&payload)
+			ident, _, _, derr := decodeWALHeader(&payload)
 			if derr != nil {
 				st.logfSafe("latticed: skipping WAL with unreadable header %s: %v", name, derr)
 				continue

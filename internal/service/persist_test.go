@@ -8,6 +8,7 @@ package service
 // extremes instead of wrapping.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -74,15 +75,14 @@ func TestPersistFrameRoundTrip(t *testing.T) {
 	plan := testPlan(t)
 	w := mustWindow(t, []int{-2, -3}, []int{4, 5})
 	id := identOf(plan, w)
-	st := dynamic.State{
-		Window:  mustWindow(t, []int{-1, 0}, []int{3, 4}),
-		Slots:   make([]int32, 25),
-		Palette: 5,
-		Budget:  5,
+	st := snapFrame{
+		window: mustWindow(t, []int{-1, 0}, []int{3, 4}),
+		slots:  make([]int32, 25),
+		m:      5,
 	}
-	for i := range st.Slots {
-		st.Slots[i] = int32(i % 6)
-		st.Slots[i]-- // mix tombstones (-1) with slots 0..4
+	for i := range st.slots {
+		st.slots[i] = int32(i % 6)
+		st.slots[i]-- // mix tombstones (-1) with slots 0..4
 	}
 	e := binwire.Get()
 	defer binwire.Put(e)
@@ -94,15 +94,15 @@ func TestPersistFrameRoundTrip(t *testing.T) {
 	if gotID.sig != id.sig || gotID.lat != id.lat || gotEpoch != 42 {
 		t.Fatalf("snapshot identity: %+v epoch %d", gotID, gotEpoch)
 	}
-	if gotID.win.String() != w.String() || gotState.Window.String() != st.Window.String() {
-		t.Fatalf("windows: %s / %s", gotID.win, gotState.Window)
+	if gotID.win.String() != w.String() || gotState.window.String() != st.window.String() {
+		t.Fatalf("windows: %s / %s", gotID.win, gotState.window)
 	}
-	if gotState.Palette != 5 || gotState.Budget != 5 || len(gotState.Slots) != 25 {
+	if gotState.m != 5 || gotState.version != persistVersion || len(gotState.slots) != 25 {
 		t.Fatalf("state: %+v", gotState)
 	}
-	for i := range st.Slots {
-		if gotState.Slots[i] != st.Slots[i] {
-			t.Fatalf("slot %d: %d ≠ %d", i, gotState.Slots[i], st.Slots[i])
+	for i := range st.slots {
+		if gotState.slots[i] != st.slots[i] {
+			t.Fatalf("slot %d: %d ≠ %d", i, gotState.slots[i], st.slots[i])
 		}
 	}
 
@@ -422,7 +422,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	disk, _, _, err := store.open(plan, w, dynamic.Options{})
+	disk, _, _, err := store.open(plan, w)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -669,5 +669,234 @@ func TestMutateMarginEdges(t *testing.T) {
 				t.Errorf("binary funnel: rejected=%v want %v (%v)", got, c.rejected, berr)
 			}
 		})
+	}
+}
+
+// hugeSnapshot is a CRC-valid snapshot declaring a (2^20+1)² state
+// window and the matching slot count with no slot bytes behind it — a
+// frame that, decoded by its declared count, would size a 4 TB slot
+// table.
+func hugeSnapshot(t testing.TB) []byte {
+	e := binwire.Get()
+	defer binwire.Put(e)
+	plan, err := core.NewPlan(lattice.Square(), prototile.Cross(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := lattice.NewWindow(lattice.Pt(0, 0), lattice.Pt(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := beginCRCFrame(e, framePersistSnap)
+	e.Uvarint(persistVersion)
+	encodeIdent(e, identOf(plan, w))
+	e.Uvarint(1) // epoch
+	e.Uvarint(5) // palette
+	e.Uvarint(5) // budget
+	e.Varint(0)
+	e.Varint(0)
+	e.Varint(1 << 20)
+	e.Varint(1 << 20)
+	e.Uvarint((1<<20 + 1) * (1<<20 + 1))
+	endCRCFrame(e, off)
+	return bytes.Clone(e.Bytes())
+}
+
+// TestDecodeSnapshotHugeSlotCount pins the snapshot allocation bound:
+// the slot count is bounded by the payload bytes left (each slot takes
+// at least one), so a small hostile file fails to decode instead of
+// exhausting memory — which, since every .snap file decodes at start,
+// would crash-loop the daemon.
+func TestDecodeSnapshotHugeSlotCount(t *testing.T) {
+	if _, _, _, err := decodeSnapshot(hugeSnapshot(t)); err == nil {
+		t.Fatal("snapshot declaring more slots than its payload holds decoded")
+	}
+}
+
+// FuzzDecodeSnapshot holds decodeSnapshot to the decode funnels'
+// contract on arbitrary bytes: never panic, never allocate past the
+// input, and a decoded frame is self-consistent.
+func FuzzDecodeSnapshot(f *testing.F) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1session", "d50a1f047a1727064fd6a58c09c209d4.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	plan, err := core.NewPlan(lattice.Square(), prototile.Cross(2, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	w, err := lattice.NewWindow(lattice.Pt(0, 0), lattice.Pt(4, 4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	live := newLiveSet(w, true)
+	live.set(-1, lattice.Pt(6, 2), true)
+	fw, slots := live.frame(plan)
+	e := binwire.Get()
+	encodeSnapshot(e, identOf(plan, w), 3, snapFrame{m: plan.Slots(), window: fw, slots: slots})
+	f.Add(bytes.Clone(e.Bytes()))
+	binwire.Put(e)
+	f.Add(hugeSnapshot(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		id, _, sf, err := decodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if sf.version < 1 || sf.version > persistVersion {
+			t.Fatalf("decoded version %d", sf.version)
+		}
+		if sf.window.Dim() != id.win.Dim() || len(sf.slots) != sf.window.Size() {
+			t.Fatalf("frame %v with %d slots for a %d-dimensional identity", sf.window, len(sf.slots), id.win.Dim())
+		}
+	})
+}
+
+// TestRestoreV1Upgrade restores a data directory that format version 1
+// wrote (testdata/v1session): a snapshot whose repair colorer put
+// sensors off their plan slots, plus a WAL of two later batches, with
+// expected.json holding the live set at the final epoch. The restore
+// must keep that live set, re-anchor the session one epoch past the
+// files behind a version-2 snapshot, and send every client copy at an
+// older epoch through a full resync — never a catch-up delta, which
+// would patch old-policy slots with Theorem-1 ones. A second restart
+// finds nothing to re-anchor.
+func TestRestoreV1Upgrade(t *testing.T) {
+	const fixture = "d50a1f047a1727064fd6a58c09c209d4"
+	src := filepath.Join("testdata", "v1session")
+	var want struct {
+		Epoch uint64       `json:"epoch"`
+		Alive int          `json:"alive"`
+		Live  []ChangeSpec `json:"live"`
+	}
+	data, err := os.ReadFile(filepath.Join(src, "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	plan := testPlan(t)
+	wantLive := map[string]bool{}
+	offPlan := 0
+	for _, ch := range want.Live {
+		wantLive[lattice.Point(ch.P).Key()] = true
+		if ch.Slot != slotOf(plan, ch.P) {
+			offPlan++
+		}
+	}
+	if offPlan == 0 || len(wantLive) != want.Alive {
+		t.Fatalf("fixture has %d off-plan sensors and %d live points (alive %d)", offPlan, len(wantLive), want.Alive)
+	}
+	dir := t.TempDir()
+	for _, ext := range []string{".snap", ".wal"} {
+		b, err := os.ReadFile(filepath.Join(src, fixture+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fixture+ext), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logged []string
+	s := NewServer(NewRegistry(8), ServerOptions{
+		Logf: func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) },
+	})
+	if err := s.EnablePersistence(PersistOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.RestoreSessions(); err != nil || n != 1 {
+		t.Fatalf("RestoreSessions = (%d, %v), want (1, nil)", n, err)
+	}
+	reanchor := want.Epoch + 1
+	spec := PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}
+	ws := WindowSpec{Lo: []int{0, 0}, Hi: []int{4, 4}}
+	for _, from := range []uint64{want.Epoch, want.Epoch - 3} {
+		feed, err := s.Subscribe(spec, ws, &from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if feed.Hello.Epoch != reanchor || feed.Hello.Alive != want.Alive || feed.Hello.M != plan.Slots() {
+			t.Fatalf("subscriber at epoch %d: hello %+v, want epoch %d, alive %d", from, feed.Hello, reanchor, want.Alive)
+		}
+		if len(feed.Catch) != 1 || !feed.Catch[0].Full || feed.Catch[0].Epoch != reanchor {
+			t.Fatalf("subscriber at epoch %d: %d catch-up deltas, want one full resync at %d", from, len(feed.Catch), reanchor)
+		}
+		got := feed.Catch[0].Changed
+		if len(got) != want.Alive {
+			t.Fatalf("resync holds %d sensors, fixture %d", len(got), want.Alive)
+		}
+		for _, ch := range got {
+			if !wantLive[lattice.Point(ch.P).Key()] || ch.Slot != slotOf(plan, ch.P) {
+				t.Fatalf("resync: %v on slot %d (live in fixture %v, plan slot %d)",
+					ch.P, ch.Slot, wantLive[lattice.Point(ch.P).Key()], slotOf(plan, ch.P))
+			}
+		}
+		feed.Close()
+	}
+	conflict := mutateJSON(t, s, persistBody(fmt.Sprintf(`"events":[{"op":"leave","p":[3,3]}],"epoch":%d`, want.Epoch)),
+		http.StatusConflict)
+	if conflict.Epoch != reanchor {
+		t.Fatalf("409 reports epoch %d, want %d", conflict.Epoch, reanchor)
+	}
+
+	snap, err := os.ReadFile(filepath.Join(dir, fixture+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, epoch, sf, err := decodeSnapshot(snap); err != nil || sf.version != persistVersion || epoch != reanchor {
+		t.Fatalf("snapshot on disk: version %d epoch %d (%v), want version %d epoch %d",
+			sf.version, epoch, err, persistVersion, reanchor)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, fixture+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := binwire.NewReader(wal)
+	if _, payload := r.Frame(); r.Err() != nil {
+		t.Fatal(r.Err())
+	} else if _, base, version, err := decodeWALHeader(&payload); err != nil || version != persistVersion || base != reanchor {
+		t.Fatalf("WAL on disk: version %d base %d (%v), want version %d base %d", version, base, err, persistVersion, reanchor)
+	}
+	if got := metricSum(t, s, "latticed_sessions_reanchored_total "); got != 1 {
+		t.Fatalf("latticed_sessions_reanchored_total = %d, want 1", got)
+	}
+	var sawLog bool
+	for _, line := range logged {
+		sawLog = sawLog || strings.Contains(line, "re-anchored session "+plan.Signature()+"|")
+	}
+	if !sawLog {
+		t.Fatalf("no re-anchor log line naming the session in %q", logged)
+	}
+
+	s2 := newPersistServer(t, dir, ServerOptions{})
+	if n, err := s2.RestoreSessions(); err != nil || n != 1 {
+		t.Fatalf("second RestoreSessions = (%d, %v), want (1, nil)", n, err)
+	}
+	if resync := mutateJSON(t, s2, persistBody(`"full":true`), http.StatusOK); resync.Epoch != reanchor {
+		t.Fatalf("second restart at epoch %d, want %d", resync.Epoch, reanchor)
+	}
+	if got := metricSum(t, s2, "latticed_sessions_reanchored_total "); got != 0 {
+		t.Fatalf("second restart re-anchored %d sessions", got)
+	}
+}
+
+// TestRestoreSkipsOversizedWindow: a persisted identity whose session
+// window exceeds MaxWindow — which a session would back with a live bit
+// per point — is skipped at restore, as a mutate request naming it
+// would be refused.
+func TestRestoreSkipsOversizedWindow(t *testing.T) {
+	dir := t.TempDir()
+	plan := testPlan(t)
+	e := binwire.Get()
+	defer binwire.Put(e)
+	encodeWALHeader(e, identOf(plan, mustWindow(t, []int{0, 0}, []int{1 << 20, 1 << 20})), 0)
+	if err := os.WriteFile(filepath.Join(dir, "huge.wal"), e.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newPersistServer(t, dir, ServerOptions{})
+	if n, err := s.RestoreSessions(); err != nil || n != 0 {
+		t.Fatalf("RestoreSessions = (%d, %v), want (0, nil)", n, err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"tilingsched/internal/core"
-	"tilingsched/internal/lattice"
 	"tilingsched/internal/obs/trace"
 )
 
@@ -166,8 +165,9 @@ func (s *Server) FlushSessions() int {
 // the registry and re-enters the table via the normal restore path,
 // oldest first so the most recently written sessions end up at the LRU
 // front. An identity whose plan no longer compiles to the recorded
-// signature is skipped with a log line, never fatal. Returns the number
-// restored; without persistence it is a no-op.
+// signature, or whose window exceeds MaxWindow, is skipped with a log
+// line, never fatal. Returns the number restored; without persistence
+// it is a no-op.
 func (s *Server) RestoreSessions() (int, error) {
 	st := s.sessions
 	if st.store == nil {
@@ -179,6 +179,12 @@ func (s *Server) RestoreSessions() (int, error) {
 	}
 	n := 0
 	for _, id := range idents {
+		// The same bound a mutate request's window meets: a session
+		// allocates a live bit per window point.
+		if size, err := id.win.SizeChecked(); err != nil || size > s.opts.MaxWindow {
+			st.logfSafe("latticed: restore: session %s|%s: window exceeds %d points, skipping", id.sig, id.win, s.opts.MaxWindow)
+			continue
+		}
 		tile := make([][]int, len(id.tile))
 		for i, pt := range id.tile {
 			tile[i] = pt
@@ -272,8 +278,8 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 		conflict := MutateResponse{
 			Signature: plan.Signature(),
 			Epoch:     sess.epoch,
-			M:         sess.mut.Slots(),
-			Alive:     sess.mut.AliveCount(),
+			M:         plan.Slots(),
+			Alive:     sess.live.alive,
 			Error:     fmt.Sprintf("stale epoch %d (current %d): resync with full=true", req.Epoch, sess.epoch),
 		}
 		sess.mu.Unlock()
@@ -283,15 +289,21 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 	resp := MutateResponse{Signature: plan.Signature()}
 	if len(events) > 0 {
 		applyStart := tsp.Clock()
-		d, changed, aerr := sess.mut.Apply(events)
+		d, touched, aerr := sess.live.apply(events)
+		// The response and the published delta share this slice,
+		// read-only from here on; the full branch below builds its own.
+		resp.Changed = sess.live.changes(plan, touched)
 		if d.Events > 0 {
 			sess.epoch++
 			tsp.EpochSpan("overlay-apply", int64(sess.epoch), applyStart, tsp.Clock())
 			s.met.sessMutations.Inc()
 			s.met.sessEvents.Add(uint64(d.Events))
+			for _, ev := range events[:d.Events] {
+				s.met.opEvents[ev.Kind].Inc()
+			}
 			if sess.disk != nil {
 				walStart := tsp.Clock()
-				// Log the applied prefix (Apply stops at the first bad
+				// Log the applied prefix (apply stops at the first bad
 				// event, so events[:d.Events] is exactly what changed
 				// state) stamped with the post-batch epoch. An append
 				// failure drops durability for this session — with a log
@@ -305,7 +317,7 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 				} else {
 					tsp.EpochSpan("wal-append", int64(sess.epoch), walStart, tsp.Clock())
 					if sess.disk.shouldSnapshot() {
-						if perr := sess.disk.snapshot(sess.mut, sess.epoch); perr != nil {
+						if perr := sess.disk.snapshot(plan, sess.live, sess.epoch); perr != nil {
 							s.sessions.logfSafe("latticed: session %s: %v", sess.key, perr)
 						}
 					}
@@ -313,18 +325,13 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 			}
 			// Fan the applied batch out to subscribers while still under
 			// the session lock, so every subscriber queue observes epochs
-			// in order. The delta owns its change slice (the response's
-			// may be rewritten by the full branch below); publishing
-			// never blocks — a full queue drops its subscriber instead.
+			// in order. Publishing never blocks — a full queue drops its
+			// subscriber instead.
 			if sess.hub.active() {
 				fanStart := time.Now()
 				pubStart := tsp.Clock()
-				pd := &Delta{Epoch: sess.epoch, M: sess.mut.Slots(), Alive: sess.mut.AliveCount(),
+				pd := &Delta{Epoch: sess.epoch, M: plan.Slots(), Alive: sess.live.alive, Changed: resp.Changed,
 					PubTime: fanStart, trace: tsp, pubNs: pubStart}
-				pd.Changed = make([]ChangeSpec, 0, len(changed))
-				for _, ch := range changed {
-					pd.Changed = append(pd.Changed, ChangeSpec{P: ch.P, Slot: ch.Slot})
-				}
 				delivered, dropped := sess.hub.publish(pd)
 				tsp.EpochSpan("hub-publish", int64(sess.epoch), pubStart, tsp.Clock())
 				sess.lastPubNs.Store(fanStart.UnixNano())
@@ -337,34 +344,20 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 				}
 			}
 		}
-		resp.Disruption = DisruptionSpec{
-			Events:      d.Events,
-			Joined:      d.Joined,
-			Departed:    d.Departed,
-			Reassigned:  d.Reassigned,
-			ColorsDelta: d.ColorsDelta,
-			FullRecolor: d.FullRecolor,
-			Compacted:   d.Compacted,
-		}
-		resp.Changed = make([]ChangeSpec, 0, len(changed))
-		for _, ch := range changed {
-			resp.Changed = append(resp.Changed, ChangeSpec{P: ch.P, Slot: ch.Slot})
-		}
+		resp.Disruption = d
 		if aerr != nil {
 			// The applied prefix stands; report it alongside the error.
 			resp.Error = aerr.Error()
 		}
 	}
 	if req.Full {
-		resp.Changed = resp.Changed[:0]
-		sess.mut.EachAssignment(func(p lattice.Point, slot int) bool {
-			resp.Changed = append(resp.Changed, ChangeSpec{P: p.Clone(), Slot: slot})
-			return true
-		})
+		// [:0:0] keeps a nil list nil (JSON null) but never appends into
+		// the published delta's array.
+		resp.Changed = sess.live.appendAssignment(resp.Changed[:0:0], plan)
 	}
 	resp.Epoch = sess.epoch
-	resp.M = sess.mut.Slots()
-	resp.Alive = sess.mut.AliveCount()
+	resp.M = plan.Slots()
+	resp.Alive = sess.live.alive
 	sess.mu.Unlock()
 	status := http.StatusOK
 	if resp.Error != "" {

@@ -57,7 +57,7 @@ type SubscribeRequest struct {
 }
 
 // SubscribeHello is the first element of a subscription stream: the
-// session's identity and its epoch, palette size, and live count at
+// session's identity and its epoch, slot count m, and live count at
 // attach time. Every delta that follows has a strictly larger epoch
 // (after any catch-up deltas, which close the gap up to Epoch).
 type SubscribeHello struct {
@@ -90,7 +90,8 @@ type SubscribeDelta struct {
 type Delta struct {
 	// Epoch is the session epoch this delta produces.
 	Epoch uint64
-	// M and Alive are the post-epoch palette size and live-sensor count.
+	// M and Alive are the plan's slot count m and the post-epoch
+	// live-sensor count.
 	M, Alive int
 	// Full marks a resync snapshot: Changed is the complete live
 	// assignment and replaces the subscriber's copy.
@@ -385,7 +386,7 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 		sub.lastEpoch.Store(cur)
 		feed := &Subscription{
 			Hello: SubscribeHello{Signature: plan.Signature(), Epoch: cur,
-				M: sess.mut.Slots(), Alive: sess.mut.AliveCount()},
+				M: plan.Slots(), Alive: sess.live.alive},
 			C:    sub.ch,
 			sub:  sub,
 			sess: sess,
@@ -408,7 +409,7 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 		}
 		sess.mu.Unlock()
 		if needWAL {
-			deltas, ok := s.sessions.store.catchUp(plan, win, epoch, cur, s.sessions.dynOpts(win))
+			deltas, ok := s.sessions.store.catchUp(plan, win, epoch, cur)
 			if ok {
 				feed.Catch = deltas
 				s.met.subCatchups.Inc()
@@ -425,8 +426,7 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 				}
 				feed.Hello.Epoch = sess.epoch
 				sub.lastEpoch.Store(sess.epoch)
-				feed.Hello.M = sess.mut.Slots()
-				feed.Hello.Alive = sess.mut.AliveCount()
+				feed.Hello.Alive = sess.live.alive
 				feed.Catch = []*Delta{fullDeltaLocked(sess)}
 				sess.mu.Unlock()
 				s.met.subResyncs.Inc()
@@ -441,13 +441,8 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 // fullDeltaLocked captures a resync delta — the complete live
 // assignment at the session's current epoch. Caller holds sess.mu.
 func fullDeltaLocked(sess *dynSession) *Delta {
-	d := &Delta{Epoch: sess.epoch, M: sess.mut.Slots(), Alive: sess.mut.AliveCount(), Full: true}
-	d.Changed = make([]ChangeSpec, 0, sess.mut.AliveCount())
-	sess.mut.EachAssignment(func(p lattice.Point, slot int) bool {
-		d.Changed = append(d.Changed, ChangeSpec{P: p.Clone(), Slot: slot})
-		return true
-	})
-	return d
+	return &Delta{Epoch: sess.epoch, M: sess.plan.Slots(), Alive: sess.live.alive, Full: true,
+		Changed: sess.live.appendAssignment(make([]ChangeSpec, 0, sess.live.alive), sess.plan)}
 }
 
 // handleSubscribe opens a push stream in either codec: decode the

@@ -9,10 +9,9 @@ package service
 // against a server full resync at the end). The legs cover the hard
 // paths — mid-stream disconnect + epoch-resume (WAL catch-up),
 // slow-consumer drop + reconnect, LRU eviction + disk restore, and a
-// server "restart" over the same data directory — and the whole
-// harness runs under all three base graph modes (periodic stencil,
-// bitset, CSR), since the push plane must be codec- and
-// representation-agnostic.
+// server "restart" over the same data directory — in both codecs, since
+// the push plane must be codec-agnostic. The legs keep their "periodic"
+// row name: sessions serve the plan's periodic Theorem 1 schedule.
 
 import (
 	"context"
@@ -27,7 +26,6 @@ import (
 	"testing"
 	"time"
 
-	"tilingsched/internal/graph"
 	"tilingsched/internal/lattice"
 	"tilingsched/internal/service/binwire"
 )
@@ -271,159 +269,139 @@ func (o *oracleSubscriber) run(t *testing.T, finalEpoch uint64, disconnectAt uin
 	}
 }
 
-// oracleServer builds a persistence-backed server with the given base
-// graph mode forced on its session table.
-func oracleServer(t *testing.T, dir string, mode graph.Mode, opts ServerOptions) *Server {
+// oracleServer builds a persistence-backed server.
+func oracleServer(t *testing.T, dir string, opts ServerOptions) *Server {
 	t.Helper()
 	s := NewServer(NewRegistry(8), opts)
 	if err := s.EnablePersistence(PersistOptions{Dir: dir}); err != nil {
 		t.Fatalf("EnablePersistence: %v", err)
 	}
-	s.sessions.baseMode = mode
 	return s
-}
-
-// oracleModes names the base graph mode sweep. graph.Auto selects the
-// production configuration (periodic identity-residue stencil); the
-// other two force an explicit conflict-graph representation.
-var oracleModes = []struct {
-	name string
-	mode graph.Mode
-}{
-	{"periodic", graph.Auto},
-	{"bitset", graph.Bitset},
-	{"csr", graph.CSR},
 }
 
 // TestSubscriberOracle is the differential oracle's main leg: scripted
 // churn with concurrent subscribers in both codecs, one of which
 // disconnects mid-stream and resumes from its epoch (WAL catch-up). Every
-// applied epoch is checked byte-identical to the reference, under all
-// three base graph modes.
+// applied epoch is checked byte-identical to the reference.
 func TestSubscriberOracle(t *testing.T) {
 	const finalEpoch = 40
-	for _, m := range oracleModes {
-		t.Run(m.name, func(t *testing.T) {
-			s := oracleServer(t, t.TempDir(), m.mode, ServerOptions{})
-			srv := httptest.NewServer(s)
-			defer srv.Close()
-			refs := &oracleRefs{states: map[uint64]string{}}
+	t.Run("periodic", func(t *testing.T) {
+		s := oracleServer(t, t.TempDir(), ServerOptions{})
+		srv := httptest.NewServer(s)
+		defer srv.Close()
+		refs := &oracleRefs{states: map[uint64]string{}}
 
-			subs := []*oracleSubscriber{
-				{name: "json", codec: "application/json"},
-				{name: "bin", codec: BinaryContentType},
-				{name: "json-reconnect", codec: "application/json"},
-				{name: "bin-reconnect", codec: BinaryContentType},
+		subs := []*oracleSubscriber{
+			{name: "json", codec: "application/json"},
+			{name: "bin", codec: BinaryContentType},
+			{name: "json-reconnect", codec: "application/json"},
+			{name: "bin-reconnect", codec: BinaryContentType},
+		}
+		var wg sync.WaitGroup
+		started := make(chan struct{}, len(subs))
+		for i, o := range subs {
+			o.url = srv.URL
+			o.refs = refs
+			o.copyMap = map[string]int{}
+			disconnectAt := uint64(0)
+			if strings.HasSuffix(o.name, "reconnect") {
+				disconnectAt = finalEpoch / 3
 			}
-			var wg sync.WaitGroup
-			started := make(chan struct{}, len(subs))
-			for i, o := range subs {
-				o.url = srv.URL
-				o.refs = refs
-				o.copyMap = map[string]int{}
-				disconnectAt := uint64(0)
-				if strings.HasSuffix(o.name, "reconnect") {
-					disconnectAt = finalEpoch / 3
-				}
-				wg.Add(1)
-				go func(o *oracleSubscriber, d uint64, i int) {
-					defer wg.Done()
-					started <- struct{}{}
-					o.run(t, finalEpoch, d)
-				}(o, disconnectAt, i)
+			wg.Add(1)
+			go func(o *oracleSubscriber, d uint64, i int) {
+				defer wg.Done()
+				started <- struct{}{}
+				o.run(t, finalEpoch, d)
+			}(o, disconnectAt, i)
+		}
+		for range subs {
+			<-started
+		}
+		oracleChurn(t, s, refs, 0xC0FFEE, finalEpoch, nil)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		want, _ := refs.get(finalEpoch)
+		for _, o := range subs {
+			if got := canonAssign(o.copyMap); got != want {
+				t.Errorf("%s: final copy diverged", o.name)
 			}
-			for range subs {
-				<-started
+			if o.checked == 0 {
+				t.Errorf("%s: verified no epochs", o.name)
 			}
-			oracleChurn(t, s, refs, 0xC0FFEE, finalEpoch, nil)
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-			want, _ := refs.get(finalEpoch)
-			for _, o := range subs {
-				if got := canonAssign(o.copyMap); got != want {
-					t.Errorf("%s: final copy diverged", o.name)
-				}
-				if o.checked == 0 {
-					t.Errorf("%s: verified no epochs", o.name)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSubscriberOracleSlowDrop forces the drop→reconnect cycle: an
 // in-process subscriber with a depth-2 queue stops reading mid-churn
 // until the hub drops it, then resubscribes from its last epoch and
-// must converge byte-identically. Swept across base modes because the
-// catch-up replay (not just live fan-out) runs under each.
+// must converge byte-identically through the WAL catch-up.
 func TestSubscriberOracleSlowDrop(t *testing.T) {
 	const finalEpoch = 30
-	for _, m := range oracleModes {
-		t.Run(m.name, func(t *testing.T) {
-			s := oracleServer(t, t.TempDir(), m.mode, ServerOptions{SubscribeQueue: 2})
-			refs := &oracleRefs{states: map[uint64]string{}}
-			spec := PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}
-			ws := WindowSpec{Lo: []int{0, 0}, Hi: []int{4, 4}}
+	t.Run("periodic", func(t *testing.T) {
+		s := oracleServer(t, t.TempDir(), ServerOptions{SubscribeQueue: 2})
+		refs := &oracleRefs{states: map[uint64]string{}}
+		spec := PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}
+		ws := WindowSpec{Lo: []int{0, 0}, Hi: []int{4, 4}}
 
-			feed, err := s.Subscribe(spec, ws, nil)
-			if err != nil {
-				t.Fatalf("subscribe: %v", err)
-			}
-			copyMap := map[string]int{}
-			var last uint64
-			checkedDrop := false
+		feed, err := s.Subscribe(spec, ws, nil)
+		if err != nil {
+			t.Fatalf("subscribe: %v", err)
+		}
+		copyMap := map[string]int{}
+		var last uint64
+		checkedDrop := false
 
-			apply := func(d *Delta) {
-				applyDelta(copyMap, deltaWire(d))
-				last = d.Epoch
-				if want, ok := refs.get(d.Epoch); ok && canonAssign(copyMap) != want {
-					t.Fatalf("copy diverged at epoch %d", d.Epoch)
-				}
+		apply := func(d *Delta) {
+			applyDelta(copyMap, deltaWire(d))
+			last = d.Epoch
+			if want, ok := refs.get(d.Epoch); ok && canonAssign(copyMap) != want {
+				t.Fatalf("copy diverged at epoch %d", d.Epoch)
 			}
-			for _, d := range feed.Catch {
-				apply(d)
-			}
+		}
+		for _, d := range feed.Catch {
+			apply(d)
+		}
 
-			// Churn sequentially; the feed is not read, so the depth-2
-			// queue overflows and the hub drops it during the run.
-			oracleChurn(t, s, refs, 42, finalEpoch, nil)
-			for d := range feed.C {
-				apply(d)
-			}
-			if feed.Reason() != byeSlow {
-				t.Fatalf("feed ended with %q, want slow drop", feed.Reason())
-			}
-			feed.Close()
-			if n := s.met.subsDropped.Load(); n != 1 {
-				t.Fatalf("%d subscribers dropped, want 1", n)
-			}
+		// Churn sequentially; the feed is not read, so the depth-2
+		// queue overflows and the hub drops it during the run.
+		oracleChurn(t, s, refs, 42, finalEpoch, nil)
+		for d := range feed.C {
+			apply(d)
+		}
+		if feed.Reason() != byeSlow {
+			t.Fatalf("feed ended with %q, want slow drop", feed.Reason())
+		}
+		feed.Close()
+		if n := s.met.subsDropped.Load(); n != 1 {
+			t.Fatalf("%d subscribers dropped, want 1", n)
+		}
 
-			// Resume from the last applied epoch: the WAL covers the gap,
-			// so the catch-up deltas must re-converge the copy per epoch.
-			resume := last
-			feed, err = s.Subscribe(spec, ws, &resume)
-			if err != nil {
-				t.Fatalf("resubscribe: %v", err)
+		// Resume from the last applied epoch: the WAL covers the gap,
+		// so the catch-up deltas must re-converge the copy per epoch.
+		resume := last
+		feed, err = s.Subscribe(spec, ws, &resume)
+		if err != nil {
+			t.Fatalf("resubscribe: %v", err)
+		}
+		defer feed.Close()
+		for _, d := range feed.Catch {
+			if d.Full {
+				t.Fatal("resume answered a full resync; WAL catch-up expected")
 			}
-			defer feed.Close()
-			for _, d := range feed.Catch {
-				if d.Full {
-					t.Fatal("resume answered a full resync; WAL catch-up expected")
-				}
-				apply(d)
-				checkedDrop = true
-			}
-			if last != finalEpoch {
-				t.Fatalf("resume stopped at epoch %d of %d", last, finalEpoch)
-			}
-			want, _ := refs.get(finalEpoch)
-			if canonAssign(copyMap) != want || !checkedDrop {
-				t.Fatal("post-drop copy diverged")
-			}
-		})
-	}
+			apply(d)
+			checkedDrop = true
+		}
+		if last != finalEpoch {
+			t.Fatalf("resume stopped at epoch %d of %d", last, finalEpoch)
+		}
+		want, _ := refs.get(finalEpoch)
+		if canonAssign(copyMap) != want || !checkedDrop {
+			t.Fatal("post-drop copy diverged")
+		}
+	})
 }
 
 // TestSubscriberOracleEvictionRestore drives the eviction leg: churn on
@@ -433,58 +411,56 @@ func TestSubscriberOracleSlowDrop(t *testing.T) {
 // which must resume via WAL catch-up, byte-identical throughout.
 func TestSubscriberOracleEvictionRestore(t *testing.T) {
 	const finalEpoch = 24
-	for _, m := range oracleModes {
-		t.Run(m.name, func(t *testing.T) {
-			s := oracleServer(t, t.TempDir(), m.mode, ServerOptions{MaxSessions: 1})
-			srv := httptest.NewServer(s)
-			defer srv.Close()
-			refs := &oracleRefs{states: map[uint64]string{}}
+	t.Run("periodic", func(t *testing.T) {
+		s := oracleServer(t, t.TempDir(), ServerOptions{MaxSessions: 1})
+		srv := httptest.NewServer(s)
+		defer srv.Close()
+		refs := &oracleRefs{states: map[uint64]string{}}
 
-			o := &oracleSubscriber{name: "evicted", codec: "application/json",
-				url: srv.URL, refs: refs, copyMap: map[string]int{}}
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				o.run(t, finalEpoch, 0)
-			}()
+		o := &oracleSubscriber{name: "evicted", codec: "application/json",
+			url: srv.URL, refs: refs, copyMap: map[string]int{}}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o.run(t, finalEpoch, 0)
+		}()
 
-			evictions := 0
-			oracleChurn(t, s, refs, 7, finalEpoch, func(epoch uint64) {
-				if epoch%8 != 0 {
-					return
-				}
-				// Wait for the subscriber to have verified this epoch, so
-				// the eviction is guaranteed to land on an attached stream
-				// (not a subscriber still dialing).
-				deadline := time.Now().Add(30 * time.Second)
-				for o.progress.Load() < epoch {
-					if time.Now().After(deadline) {
-						t.Fatalf("subscriber stuck at epoch %d of %d", o.progress.Load(), epoch)
-					}
-					time.Sleep(100 * time.Microsecond)
-				}
-				// Touch another window (a no-op full resync): capacity 1
-				// evicts the subscribed session (flushing it to disk)
-				// mid-churn.
-				mutateJSON(t, s, `{"plan":{"tile":{"name":"cross:2:1"}},"window":{"lo":[0,0],"hi":[2,2]},`+
-					`"events":[],"full":true}`, http.StatusOK)
-				evictions++
-			})
-			wg.Wait()
-			if t.Failed() {
+		evictions := 0
+		oracleChurn(t, s, refs, 7, finalEpoch, func(epoch uint64) {
+			if epoch%8 != 0 {
 				return
 			}
-			want, _ := refs.get(finalEpoch)
-			if got := canonAssign(o.copyMap); got != want {
-				t.Fatal("final copy diverged")
+			// Wait for the subscriber to have verified this epoch, so
+			// the eviction is guaranteed to land on an attached stream
+			// (not a subscriber still dialing).
+			deadline := time.Now().Add(30 * time.Second)
+			for o.progress.Load() < epoch {
+				if time.Now().After(deadline) {
+					t.Fatalf("subscriber stuck at epoch %d of %d", o.progress.Load(), epoch)
+				}
+				time.Sleep(100 * time.Microsecond)
 			}
-			if evictions == 0 || s.met.subsEvicted.Load() == 0 || s.met.sessRestored.Load() == 0 {
-				t.Fatalf("leg exercised nothing: %d evictions, %d subscribers evicted, %d sessions restored",
-					evictions, s.met.subsEvicted.Load(), s.met.sessRestored.Load())
-			}
+			// Touch another window (a no-op full resync): capacity 1
+			// evicts the subscribed session (flushing it to disk)
+			// mid-churn.
+			mutateJSON(t, s, `{"plan":{"tile":{"name":"cross:2:1"}},"window":{"lo":[0,0],"hi":[2,2]},`+
+				`"events":[],"full":true}`, http.StatusOK)
+			evictions++
 		})
-	}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		want, _ := refs.get(finalEpoch)
+		if got := canonAssign(o.copyMap); got != want {
+			t.Fatal("final copy diverged")
+		}
+		if evictions == 0 || s.met.subsEvicted.Load() == 0 || s.met.sessRestored.Load() == 0 {
+			t.Fatalf("leg exercised nothing: %d evictions, %d subscribers evicted, %d sessions restored",
+				evictions, s.met.subsEvicted.Load(), s.met.sessRestored.Load())
+		}
+	})
 }
 
 // TestSubscriberOracleServerRestart is the restart leg at the service
@@ -498,7 +474,7 @@ func TestSubscriberOracleServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	refs := &oracleRefs{states: map[uint64]string{}}
 
-	s1 := oracleServer(t, dir, graph.Auto, ServerOptions{})
+	s1 := oracleServer(t, dir, ServerOptions{})
 	srv1 := httptest.NewServer(s1)
 	o := &oracleSubscriber{name: "restart", codec: BinaryContentType,
 		url: srv1.URL, refs: refs, copyMap: map[string]int{}}
@@ -518,7 +494,7 @@ func TestSubscriberOracleServerRestart(t *testing.T) {
 	// The second server restores the session from disk on first touch.
 	// The oracle's second half continues the same churn script shape but
 	// starts from the restored state; the subscriber resumes at `half`.
-	s2 := oracleServer(t, dir, graph.Auto, ServerOptions{})
+	s2 := oracleServer(t, dir, ServerOptions{})
 	srv2 := httptest.NewServer(s2)
 	defer srv2.Close()
 	o.url = srv2.URL
