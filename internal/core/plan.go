@@ -38,6 +38,14 @@ type Plan struct {
 	tile  *prototile.Tile
 	tlng  *tiling.LatticeTiling
 	sched *schedule.Theorem1
+	// sig is Signature(lat, tile), computed once at construction: the
+	// service reads it on every request.
+	sig string
+}
+
+// newPlan assembles a plan over a found tiling.
+func newPlan(lat *lattice.Lattice, tile *prototile.Tile, lt *tiling.LatticeTiling) *Plan {
+	return &Plan{lat: lat, tile: tile, tlng: lt, sched: schedule.FromLatticeTiling(lt), sig: Signature(lat, tile)}
 }
 
 // NewPlan decides whether the prototile tiles the lattice and, if so,
@@ -53,7 +61,7 @@ func NewPlan(lat *lattice.Lattice, tile *prototile.Tile) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s (|N| = %d)", ErrNotExact, tile.Name(), tile.Size())
 	}
-	return &Plan{lat: lat, tile: tile, tlng: lt, sched: schedule.FromLatticeTiling(lt)}, nil
+	return newPlan(lat, tile, lt), nil
 }
 
 // NewPlanWithPeriod builds a plan from an explicit period sublattice
@@ -66,7 +74,7 @@ func NewPlanWithPeriod(lat *lattice.Lattice, tile *prototile.Tile, period *intma
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{lat: lat, tile: tile, tlng: lt, sched: schedule.FromLatticeTiling(lt)}, nil
+	return newPlan(lat, tile, lt), nil
 }
 
 // Signature returns the canonical signature of a (lattice, prototile)
@@ -89,8 +97,9 @@ func Signature(lat *lattice.Lattice, tile *prototile.Tile) string {
 	return b.String()
 }
 
-// Signature returns the plan's canonical (lattice, prototile) signature.
-func (p *Plan) Signature() string { return Signature(p.lat, p.tile) }
+// Signature returns the plan's canonical (lattice, prototile) signature,
+// Signature(p.Lattice(), p.Tile()).
+func (p *Plan) Signature() string { return p.sig }
 
 // Lattice returns the plan's lattice.
 func (p *Plan) Lattice() *lattice.Lattice { return p.lat }

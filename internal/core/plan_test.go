@@ -64,6 +64,27 @@ func TestNewPlanWithPeriod(t *testing.T) {
 	}
 }
 
+// TestPlanSignatureCached pins the cached signature to the free
+// function's bytes for both constructors: persisted session file IDs
+// hash it.
+func TestPlanSignatureCached(t *testing.T) {
+	tile := prototile.Cross(2, 1)
+	p1, err := NewPlan(lattice.Square(), tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := NewPlanWithPeriod(lattice.Square(), tile, intmat.MustFromRows([][]int64{{1, 2}, {2, -1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "square/2:-1,0;0,-1;0,0;0,1;1,0"
+	for _, p := range []*Plan{p1, p2} {
+		if got := p.Signature(); got != want || got != Signature(p.Lattice(), p.Tile()) {
+			t.Fatalf("Signature() = %q, want %q", got, want)
+		}
+	}
+}
+
 func TestMayBroadcast(t *testing.T) {
 	plan, err := NewPlan(lattice.Square(), prototile.MustTetromino("O"))
 	if err != nil {

@@ -117,8 +117,9 @@ func (s *Server) statuszCollect() ([]StatuszSession, []uint64, []int64) {
 		var timesBehind []int64
 		sess.hub.mu.Lock()
 		row.Subscribers = len(sess.hub.subs)
-		for sub := range sess.hub.subs {
-			q := len(sub.ch)
+		for _, e := range sess.hub.subs {
+			sub := e.sub
+			q := len(e.ch)
 			row.QueueSum += q
 			if q > row.QueueMax {
 				row.QueueMax = q

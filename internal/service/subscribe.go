@@ -15,9 +15,11 @@ package service
 // table.mu is never held with either.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,19 +116,44 @@ type Delta struct {
 	// pubNs is the publish stamp on the trace's monotonic clock, the
 	// deliver span's start.
 	pubNs int64
+	// enc caches the delta's stream element per codec (codecJSON,
+	// codecBin), filled on first use by encoded and shared by every
+	// relay of that codec. It dies with the delta. The sync.Once makes
+	// go vet's copylocks check reject a copied Delta.
+	enc [numCodecs]struct {
+		once sync.Once
+		b    []byte
+	}
+}
+
+// encoded returns d's stream element in codec c, encoding it on the
+// first call for that codec. The bytes are shared: read-only.
+func (d *Delta) encoded(c codec) []byte {
+	slot := &d.enc[c.id()]
+	slot.once.Do(func() {
+		e := binwire.Get()
+		c.delta(e, d)
+		slot.b = bytes.Clone(e.Bytes())
+		binwire.Put(e)
+	})
+	return slot.b
 }
 
 // subscriber is one attached stream: a bounded delta queue plus the
 // terminal reason. reason is written under the hub lock strictly before
 // ch is closed, so a receiver that observed the close may read it
-// without further synchronization.
+// without further synchronization. It lives inside its Subscription, so
+// a feed is one object.
 type subscriber struct {
 	ch     chan *Delta
 	reason string
-	// note names this subscriber in deliver spans ("sub-N", N from the
-	// server-wide attach sequence), precomputed at attach so the relay
-	// hot path never formats.
-	note string
+	// slot is the subscriber's index in its hub's dense slice while
+	// attached, -1 once detached, dropped or closed. Guarded by the hub
+	// lock.
+	slot int
+	// seq is the server-wide attach sequence number; deliver spans name
+	// the subscriber "sub-<seq>".
+	seq uint64
 	// lastEpoch is the latest epoch the relay has delivered (attach
 	// epoch until then); lastPubNs the publish wall-clock of the latest
 	// live delta delivered (0 until one arrives). Both feed the lag
@@ -149,13 +176,22 @@ type subscriber struct {
 // subscriber lag marks are exact regardless — they are uncontended.
 const propSampleMask = 7
 
-// subHub is a session's subscriber set. Attach and publish run under
+// subHub is a session's subscriber set: a dense slice in attach order
+// (reordered by removals), each entry carrying its queue inline so
+// publish reads one slice front to back. Attach and publish run under
 // the owning session's mutex (hub lock nested inside), so a subscriber
 // can never miss the epoch it attached at; detach takes only the hub
 // lock, so a disconnecting client never touches the mutate path.
 type subHub struct {
 	mu   sync.Mutex
-	subs map[*subscriber]struct{}
+	subs []hubEntry
+}
+
+// hubEntry is one attached subscriber: its queue, and the subscriber
+// itself, which publish touches only to drop it.
+type hubEntry struct {
+	ch  chan *Delta
+	sub *subscriber
 }
 
 // attach adds sub unless the session already has max subscribers.
@@ -165,11 +201,22 @@ func (h *subHub) attach(sub *subscriber, max int) bool {
 	if len(h.subs) >= max {
 		return false
 	}
-	if h.subs == nil {
-		h.subs = make(map[*subscriber]struct{})
-	}
-	h.subs[sub] = struct{}{}
+	sub.slot = len(h.subs)
+	h.subs = append(h.subs, hubEntry{ch: sub.ch, sub: sub})
 	return true
+}
+
+// removeLocked swap-removes the entry at i: the last entry moves into
+// slot i. Caller holds h.mu.
+func (h *subHub) removeLocked(i int) {
+	h.subs[i].sub.slot = -1
+	last := len(h.subs) - 1
+	if i != last {
+		h.subs[i] = h.subs[last]
+		h.subs[i].sub.slot = i
+	}
+	h.subs[last] = hubEntry{}
+	h.subs = h.subs[:last]
 }
 
 // detach removes sub if still attached (false when the hub already
@@ -178,10 +225,11 @@ func (h *subHub) attach(sub *subscriber, max int) bool {
 func (h *subHub) detach(sub *subscriber) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.subs[sub]; !ok {
+	i := sub.slot
+	if i < 0 || i >= len(h.subs) || h.subs[i].sub != sub {
 		return false
 	}
-	delete(h.subs, sub)
+	h.removeLocked(i)
 	return true
 }
 
@@ -196,18 +244,21 @@ func (h *subHub) active() bool {
 // publish hands d to every subscriber without ever blocking: a full
 // queue means the subscriber cannot keep up, so it is dropped on the
 // spot (reason set, channel closed) rather than stalling the mutation
-// pipeline. Returns the deliveries and drops.
+// pipeline. A drop moves the last entry into the dropped slot, which is
+// visited next. Returns the deliveries and drops.
 func (h *subHub) publish(d *Delta) (delivered, dropped int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for sub := range h.subs {
+	for i := 0; i < len(h.subs); {
 		select {
-		case sub.ch <- d:
+		case h.subs[i].ch <- d:
 			delivered++
+			i++
 		default:
-			delete(h.subs, sub)
+			sub := h.subs[i].sub
 			sub.reason = byeSlow
 			close(sub.ch)
+			h.removeLocked(i)
 			dropped++
 		}
 	}
@@ -220,11 +271,12 @@ func (h *subHub) closeAll(reason string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := len(h.subs)
-	for sub := range h.subs {
-		delete(h.subs, sub)
-		sub.reason = reason
-		close(sub.ch)
+	for _, e := range h.subs {
+		e.sub.slot = -1
+		e.sub.reason = reason
+		close(e.ch)
 	}
+	h.subs = nil
 	return n
 }
 
@@ -263,7 +315,8 @@ type Subscription struct {
 	// C delivers every epoch published after Hello.Epoch, in order.
 	C <-chan *Delta
 
-	sub    *subscriber
+	// sub is the feed's hub state; the hub entry points here.
+	sub    subscriber
 	sess   *dynSession
 	srv    *Server
 	closed bool
@@ -275,7 +328,7 @@ type Subscription struct {
 // (embedders, the push bench) should call it per received delta so
 // /statusz lag watermarks cover them too. Harmless to skip — the feed
 // still works, it just reads as lagging.
-func (f *Subscription) Mark(d *Delta) { f.srv.markDelivered(f.sub, d) }
+func (f *Subscription) Mark(d *Delta) { f.srv.markDelivered(&f.sub, d) }
 
 // markDelivered is the delivery bookkeeping behind Subscription.Mark:
 // advance the subscriber's lag marks, then record the delivery.
@@ -308,7 +361,8 @@ func (s *Server) recordDelivery(sub *subscriber, d *Delta) {
 	lat := time.Since(d.PubTime)
 	s.met.propagationNs.Record(uint64(lat))
 	if d.trace != nil {
-		d.trace.EpochNoteSpan("deliver", sub.note, int64(d.Epoch), d.pubNs, d.trace.Clock())
+		note := "sub-" + strconv.FormatUint(sub.seq, 10)
+		d.trace.EpochNoteSpan("deliver", note, int64(d.Epoch), d.pubNs, d.trace.Clock())
 		s.met.recordExemplar(&PropExemplar{
 			TraceID: d.trace.ID().String(), Epoch: d.Epoch, LatencyNs: int64(lat)})
 	}
@@ -321,7 +375,7 @@ func (f *Subscription) Reason() string { return f.sub.reason }
 // Close detaches the feed. Idempotent; safe concurrently with the
 // server dropping the feed on its own.
 func (f *Subscription) Close() {
-	f.sess.hub.detach(f.sub)
+	f.sess.hub.detach(&f.sub)
 	if !f.closed {
 		f.closed = true
 		f.srv.met.subsLive.Add(-1)
@@ -375,8 +429,10 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 			sess.mu.Unlock()
 			continue
 		}
-		sub := &subscriber{ch: make(chan *Delta, queue),
-			note: fmt.Sprintf("sub-%d", s.subSeq.Add(1))}
+		feed := &Subscription{sess: sess, srv: s}
+		sub := &feed.sub
+		sub.ch = make(chan *Delta, queue)
+		sub.seq = s.subSeq.Add(1)
 		if !sess.hub.attach(sub, maxSubs) {
 			sess.mu.Unlock()
 			return nil, http.StatusServiceUnavailable,
@@ -384,14 +440,9 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 		}
 		cur := sess.epoch
 		sub.lastEpoch.Store(cur)
-		feed := &Subscription{
-			Hello: SubscribeHello{Signature: plan.Signature(), Epoch: cur,
-				M: plan.Slots(), Alive: sess.live.alive},
-			C:    sub.ch,
-			sub:  sub,
-			sess: sess,
-			srv:  s,
-		}
+		feed.Hello = SubscribeHello{Signature: plan.Signature(), Epoch: cur,
+			M: plan.Slots(), Alive: sess.live.alive}
+		feed.C = sub.ch
 		needWAL := false
 		switch {
 		case hasEpoch && epoch == cur:
@@ -490,14 +541,17 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 	_ = rc.SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", c.streamType())
 	w.WriteHeader(http.StatusOK)
-	// send encodes one element into a pooled buffer and writes it out.
-	// The buffer goes straight back, so an idle stream pins none.
+	write := func(b []byte) bool {
+		_, err := w.Write(b)
+		return err == nil && rc.Flush() == nil
+	}
+	// send encodes a hello or bye into a pooled buffer and writes it
+	// out. The buffer goes straight back, so an idle stream pins none.
 	send := func(encode func(e *binwire.Buffer)) bool {
 		e := binwire.Get()
 		defer binwire.Put(e)
 		encode(e)
-		_, err := w.Write(e.Bytes())
-		return err == nil && rc.Flush() == nil
+		return write(e.Bytes())
 	}
 	last := feed.Hello.Epoch
 	deliver := func(d *Delta) bool {
@@ -505,22 +559,27 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 		// client; a failed write ends the stream and detaches the
 		// subscriber, so the early mark never outlives a lost delta.
 		feed.sub.advance(d)
-		if !send(func(e *binwire.Buffer) { c.delta(e, d) }) {
+		if !write(d.encoded(c)) {
 			return false
 		}
-		s.recordDelivery(feed.sub, d)
+		s.recordDelivery(&feed.sub, d)
 		last = max(last, d.Epoch)
 		return true
 	}
 	if !send(func(e *binwire.Buffer) { c.hello(e, feed.Hello) }) {
 		return
 	}
-	for _, d := range feed.Catch {
+	// The stream drops its catch-up deltas (and their encodings) as it
+	// sends them, so an idle stream pins none.
+	catch := feed.Catch
+	feed.Catch = nil
+	for i, d := range catch {
+		catch[i] = nil
 		if !deliver(d) {
 			return
 		}
 	}
-	tr.batch = len(feed.Catch)
+	tr.batch = len(catch)
 	ctx := r.Context()
 	for {
 		select {
