@@ -31,9 +31,8 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
-	"slices"
+	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -44,41 +43,25 @@ type Result struct {
 	NsPerOpMean float64 `json:"ns_per_op_mean"` // arithmetic mean over samples
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Metrics holds the units a benchmark adds with b.ReportMetric
-	// (e.g. ns/sub), keyed by unit.
-	Metrics map[string]Metric `json:"metrics,omitempty"`
-}
-
-// Metric summarizes one b.ReportMetric unit over the samples.
-type Metric struct {
-	Min  float64 `json:"min"`
-	Mean float64 `json:"mean"`
 }
 
 // Summary is the on-disk schema of a BENCH_<date>.json file.
 type Summary struct {
-	Date      string `json:"date"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// NumCPU is the summarizing host's logical CPU count (with -parse,
-	// the host that summarized the captured output).
-	NumCPU     int               `json:"num_cpu"`
+	Date       string            `json:"date"`
+	GoVersion  string            `json:"go_version"`
+	GOOS       string            `json:"goos"`
+	GOARCH     string            `json:"goarch"`
+	NumCPU     int               `json:"num_cpu"` // the summarizing host's logical CPUs
 	Bench      string            `json:"bench_regex"`
 	Count      int               `json:"count"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-// benchLine matches a benchmark result line, e.g.
+// benchLine matches e.g.
 //
 //	BenchmarkSlotAssignment-8   6891763   166.0 ns/op   56 B/op   4 allocs/op
-//
-// capturing the name and the "value unit" pairs after the iteration
-// count, which metricPair then splits.
-var (
-	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
-	metricPair = regexp.MustCompile(`([0-9.eE+-]+) (\S+)`)
-)
+var benchLine = regexp.MustCompile(
+	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
 	bench := flag.String("bench", ".", "benchmark regex passed to go test -bench")
@@ -136,34 +119,26 @@ func main() {
 	type agg struct {
 		ns              []float64
 		bytesOp, allocs int64
-		custom          map[string][]float64
 	}
 	acc := map[string]*agg{}
 	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(raw), -1) {
 		m := benchLine.FindStringSubmatch(line)
-		if m == nil || !strings.Contains(m[2], " ns/op") {
+		if m == nil {
 			continue
 		}
 		a := acc[m[1]]
 		if a == nil {
-			a = &agg{custom: map[string][]float64{}}
+			a = &agg{}
 			acc[m[1]] = a
 		}
-		for _, p := range metricPair.FindAllStringSubmatch(m[2], -1) {
-			v, err := strconv.ParseFloat(p[1], 64)
-			if err != nil {
-				continue
-			}
-			switch p[2] {
-			case "ns/op":
-				a.ns = append(a.ns, v)
-			case "B/op":
-				a.bytesOp = int64(v)
-			case "allocs/op":
-				a.allocs = int64(v)
-			default:
-				a.custom[p[2]] = append(a.custom[p[2]], v)
-			}
+		ns, _ := strconv.ParseFloat(m[2], 64)
+		a.ns = append(a.ns, ns)
+		if m[3] != "" {
+			b, _ := strconv.ParseFloat(m[3], 64)
+			a.bytesOp = int64(b)
+		}
+		if m[4] != "" {
+			a.allocs, _ = strconv.ParseInt(m[4], 10, 64)
 		}
 	}
 	if len(acc) == 0 {
@@ -181,20 +156,18 @@ func main() {
 		Benchmarks: map[string]Result{},
 	}
 	for name, a := range acc {
-		r := Result{
+		sort.Float64s(a.ns)
+		var sum float64
+		for _, v := range a.ns {
+			sum += v
+		}
+		s.Benchmarks[name] = Result{
 			Samples:     len(a.ns),
+			NsPerOp:     a.ns[0],
+			NsPerOpMean: sum / float64(len(a.ns)),
 			BytesPerOp:  a.bytesOp,
 			AllocsPerOp: a.allocs,
 		}
-		r.NsPerOp, r.NsPerOpMean = minMean(a.ns)
-		for unit, vs := range a.custom {
-			if r.Metrics == nil {
-				r.Metrics = map[string]Metric{}
-			}
-			lo, mean := minMean(vs)
-			r.Metrics[unit] = Metric{Min: lo, Mean: mean}
-		}
-		s.Benchmarks[name] = r
 	}
 
 	path := *out
@@ -209,14 +182,6 @@ func main() {
 		fatal("write %s: %v", path, err)
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(s.Benchmarks))
-}
-
-// minMean returns the minimum and the arithmetic mean of vs.
-func minMean(vs []float64) (lo, mean float64) {
-	for _, v := range vs {
-		mean += v
-	}
-	return slices.Min(vs), mean / float64(len(vs))
 }
 
 func fatal(format string, args ...any) {

@@ -20,9 +20,6 @@ import (
 // converts into. The stream methods append one subscription element to
 // e, which the relay writes and flushes.
 type codec interface {
-	// id is the codec's metrics label (codecJSON, codecBin), which also
-	// indexes a Delta's per-codec encoding cache.
-	id() int
 	// traceExt splits an in-band trace context off a request body (the
 	// binary FrameTraceExt prefix; JSON uses the traceparent header).
 	traceExt(body []byte) (trace.Context, []byte)
@@ -42,8 +39,6 @@ type codec interface {
 	// streamType is the subscription stream's content type.
 	streamType() string
 	hello(e *binwire.Buffer, h SubscribeHello)
-	// delta appends d's element; relays write d.encoded instead, which
-	// calls it once per delta.
 	delta(e *binwire.Buffer, d *Delta)
 	bye(e *binwire.Buffer, epoch uint64, reason string)
 }
@@ -57,8 +52,6 @@ var batchKinds = [numEndpoints]byte{epSlots: binwire.FrameBatchSlots, epMay: bin
 // jsonCodec is the JSON wire format: the JSON funnels, whole JSON
 // responses, and ndjson subscription streams.
 type jsonCodec struct{}
-
-func (jsonCodec) id() int { return codecJSON }
 
 func (jsonCodec) traceExt(body []byte) (trace.Context, []byte) { return trace.Context{}, body }
 

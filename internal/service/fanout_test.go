@@ -2,16 +2,11 @@ package service
 
 // Fan-out suite (DESIGN.md §13): the dense hub's bookkeeping under
 // drops, detaches and re-attaches, its behaviour under concurrent
-// attach/detach/publish/closeAll, the encode-once relay's bytes against
-// a fresh per-stream encode, and the release of a stream's catch-up
-// deltas once they are sent.
+// attach/detach/publish/closeAll, and the release of a stream's
+// catch-up deltas once they are sent.
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -215,154 +210,6 @@ func TestSubHubRaceStress(t *testing.T) {
 	}
 }
 
-// subscribeBodyFor renders a subscribe request for the persist test
-// window in the codec of contentType, resuming at epoch when non-nil.
-func subscribeBodyFor(contentType string, epoch *uint64) []byte {
-	if contentType == BinaryContentType {
-		var e binwire.Buffer
-		EncodeSubscribeBinary(&e, SubscribeRequest{
-			Plan:   PlanSpec{Tile: TileSpec{Name: "cross:2:1"}},
-			Window: WindowSpec{Lo: []int{0, 0}, Hi: []int{4, 4}},
-			Epoch:  epoch,
-		}, "")
-		return e.Bytes()
-	}
-	if epoch != nil {
-		return []byte(subBody(fmt.Sprintf(`"epoch":%d`, *epoch)))
-	}
-	return []byte(subBody(""))
-}
-
-// freshElement encodes one stream element into a new buffer: the
-// per-stream encode the relay did before deltas cached their encoding.
-func freshElement(encode func(e *binwire.Buffer)) []byte {
-	var e binwire.Buffer
-	encode(&e)
-	return e.Bytes()
-}
-
-// TestSubscribeSharedEncodingBytes pins encode-once: JSON and binary
-// wire streams on one session — fresh attaches with a full resync, a
-// reconnect caught up from the WAL, a future-epoch attach answered with
-// a full resync, then live churn shared by all of them — receive exactly
-// the bytes a fresh per-stream encode of the same deltas produces.
-func TestSubscribeSharedEncodingBytes(t *testing.T) {
-	s := newPersistServer(t, t.TempDir(), ServerOptions{})
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-	spec := PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}
-	ws := WindowSpec{Lo: []int{0, 0}, Hi: []int{4, 4}}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// ref is an in-process feed on the same session: it receives the very
-	// *Delta values the relays write.
-	ref, err := s.Subscribe(spec, ws, nil)
-	if err != nil {
-		t.Fatalf("subscribe: %v", err)
-	}
-	defer ref.Close()
-
-	type stream struct {
-		name string
-		c    codec
-		body io.ReadCloser
-	}
-	var streams []*stream
-	// expectBytes reads exactly len(want) bytes from st and compares.
-	expectBytes := func(st *stream, want []byte, what string) {
-		t.Helper()
-		got := make([]byte, len(want))
-		if _, err := io.ReadFull(st.body, got); err != nil {
-			t.Fatalf("%s: reading %s: %v", st.name, what, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: %s bytes differ from a fresh encode:\n got %q\nwant %q", st.name, what, got, want)
-		}
-	}
-	// open attaches k streams per codec at epoch and checks each opening
-	// (hello plus catch-up) against an in-process attach made at the same
-	// epoch; it returns that attach's catch-up.
-	open := func(k int, epoch *uint64, leg string) []*Delta {
-		t.Helper()
-		twin, err := s.Subscribe(spec, ws, epoch)
-		if err != nil {
-			t.Fatalf("%s: in-process attach: %v", leg, err)
-		}
-		twin.Close()
-		for _, c := range codecs {
-			for i := 0; i < k; i++ {
-				ct := "application/json"
-				if c.id() == codecBin {
-					ct = BinaryContentType
-				}
-				req, err := http.NewRequestWithContext(ctx, "POST", srv.URL+"/v1/plan:subscribe",
-					bytes.NewReader(subscribeBodyFor(ct, epoch)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				req.Header.Set("Content-Type", ct)
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil || resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s: subscribe: %v %v", leg, err, resp)
-				}
-				t.Cleanup(func() { resp.Body.Close() })
-				st := &stream{name: fmt.Sprintf("%s/%s/%d", leg, codecNames[c.id()], i), c: c, body: resp.Body}
-				want := freshElement(func(e *binwire.Buffer) { c.hello(e, twin.Hello) })
-				for _, d := range twin.Catch {
-					want = append(want, freshElement(func(e *binwire.Buffer) { c.delta(e, d) })...)
-				}
-				expectBytes(st, want, "opening")
-				streams = append(streams, st)
-			}
-		}
-		return twin.Catch
-	}
-	// churn applies epochs (from, to] — epoch e leaves window point e and
-	// re-joins point e-1, so every live sensor stays inside the window,
-	// where a full resync lists them in one fixed order — and checks
-	// every open stream's bytes for the live deltas the reference feed
-	// received.
-	churn := func(from, to uint64) {
-		t.Helper()
-		var live []*Delta
-		for e := from + 1; e <= to; e++ {
-			events := fmt.Sprintf(`{"op":"leave","p":[%d,%d]}`, e%5, e/5)
-			if e > 1 {
-				events += fmt.Sprintf(`,{"op":"join","p":[%d,%d]}`, (e-1)%5, (e-1)/5)
-			}
-			mutateJSON(t, s, persistBody(`"events":[`+events+`]`), http.StatusOK)
-			d := <-ref.C
-			if d.Epoch != e {
-				t.Fatalf("reference feed: epoch %d, want %d", d.Epoch, e)
-			}
-			live = append(live, d)
-		}
-		for _, st := range streams {
-			var want []byte
-			for _, d := range live {
-				want = append(want, freshElement(func(e *binwire.Buffer) { st.c.delta(e, d) })...)
-			}
-			expectBytes(st, want, fmt.Sprintf("epochs %d..%d", from+1, to))
-		}
-	}
-
-	const k = 3
-	if catch := open(k, nil, "fresh"); len(catch) != 1 || !catch[0].Full {
-		t.Fatalf("fresh attach: catch-up %v, want one full resync", catch)
-	}
-	churn(0, 5)
-	two := uint64(2)
-	if catch := open(k, &two, "walcatchup"); len(catch) != 3 || catch[0].Full {
-		t.Fatalf("stale attach: %d catch-up deltas (full=%v), want 3 from the WAL", len(catch), len(catch) > 0 && catch[0].Full)
-	}
-	future := uint64(99)
-	if catch := open(k, &future, "resync"); len(catch) != 1 || !catch[0].Full {
-		t.Fatalf("future-epoch attach: catch-up %v, want one full resync", catch)
-	}
-	churn(5, 9)
-}
-
 // liveHeap returns the heap in use after a full collection.
 func liveHeap() uint64 {
 	runtime.GC()
@@ -373,10 +220,10 @@ func liveHeap() uint64 {
 
 // TestSubscribeIdleStreamReleasesCatchUp pins the catch-up release: a
 // wire stream that opened with a full resync of a 64×64 session and
-// then idles holds neither the resync delta nor its encoding. Streams
-// that kept them measured ~357 KB (JSON) and ~245 KB (binary) of heap
-// each, client side included; the bounds sit between those and the
-// ~170 / ~57 KB a stream needs once they are released.
+// then idles no longer holds the resync delta. Streams that kept it
+// measured ~357 KB (JSON) and ~245 KB (binary) of heap each, client
+// side included; the bounds sit between those and the ~170 / ~57 KB a
+// stream needs once it is released.
 func TestSubscribeIdleStreamReleasesCatchUp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory distorts heap accounting")

@@ -34,8 +34,6 @@ func isBinaryRequest(r *http.Request) bool {
 // binCodec is the binary wire format.
 type binCodec struct{}
 
-func (binCodec) id() int { return codecBin }
-
 func (binCodec) traceExt(body []byte) (trace.Context, []byte) { return DecodeTraceExt(body) }
 
 func (binCodec) decodeBatch(body []byte, kind byte, lim Limits, buf *queryBuf) (BinBatch, error) {

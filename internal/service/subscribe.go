@@ -15,7 +15,6 @@ package service
 // table.mu is never held with either.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -116,27 +115,6 @@ type Delta struct {
 	// pubNs is the publish stamp on the trace's monotonic clock, the
 	// deliver span's start.
 	pubNs int64
-	// enc caches the delta's stream element per codec (codecJSON,
-	// codecBin), filled on first use by encoded and shared by every
-	// relay of that codec. It dies with the delta. The sync.Once makes
-	// go vet's copylocks check reject a copied Delta.
-	enc [numCodecs]struct {
-		once sync.Once
-		b    []byte
-	}
-}
-
-// encoded returns d's stream element in codec c, encoding it on the
-// first call for that codec. The bytes are shared: read-only.
-func (d *Delta) encoded(c codec) []byte {
-	slot := &d.enc[c.id()]
-	slot.once.Do(func() {
-		e := binwire.Get()
-		c.delta(e, d)
-		slot.b = bytes.Clone(e.Bytes())
-		binwire.Put(e)
-	})
-	return slot.b
 }
 
 // subscriber is one attached stream: a bounded delta queue plus the
@@ -541,17 +519,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 	_ = rc.SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", c.streamType())
 	w.WriteHeader(http.StatusOK)
-	write := func(b []byte) bool {
-		_, err := w.Write(b)
-		return err == nil && rc.Flush() == nil
-	}
-	// send encodes a hello or bye into a pooled buffer and writes it
-	// out. The buffer goes straight back, so an idle stream pins none.
+	// send encodes one element into a pooled buffer and writes it out.
+	// The buffer goes straight back, so an idle stream pins none.
 	send := func(encode func(e *binwire.Buffer)) bool {
 		e := binwire.Get()
 		defer binwire.Put(e)
 		encode(e)
-		return write(e.Bytes())
+		_, err := w.Write(e.Bytes())
+		return err == nil && rc.Flush() == nil
 	}
 	last := feed.Hello.Epoch
 	deliver := func(d *Delta) bool {
@@ -559,7 +534,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 		// client; a failed write ends the stream and detaches the
 		// subscriber, so the early mark never outlives a lost delta.
 		feed.sub.advance(d)
-		if !write(d.encoded(c)) {
+		if !send(func(e *binwire.Buffer) { c.delta(e, d) }) {
 			return false
 		}
 		s.recordDelivery(&feed.sub, d)
@@ -569,8 +544,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 	if !send(func(e *binwire.Buffer) { c.hello(e, feed.Hello) }) {
 		return
 	}
-	// The stream drops its catch-up deltas (and their encodings) as it
-	// sends them, so an idle stream pins none.
+	// The stream drops its catch-up deltas as it sends them, so an idle
+	// stream pins none (a full resync is the whole live assignment).
 	catch := feed.Catch
 	feed.Catch = nil
 	for i, d := range catch {
