@@ -106,17 +106,10 @@ func DecodeBinaryMutate(data []byte, lim Limits) (BinMutate, error) {
 	// must stay within MutateMargin of the session window.
 	dim := req.Window.Dim()
 	bound := growMargin(req.Window)
-	readPoint := func() lattice.Point {
-		p := make(lattice.Point, dim)
-		for a := 0; a < dim; a++ {
-			p[a] = int(r.Varint())
-		}
-		return p
-	}
 	req.Events = make([]dynamic.Event, 0, count)
 	for i := 0; i < count; i++ {
 		op := r.Byte()
-		p := readPoint()
+		p := decodeCoords(&r, dim)
 		var ev dynamic.Event
 		switch op {
 		case binOpJoin:
@@ -126,7 +119,7 @@ func DecodeBinaryMutate(data []byte, lim Limits) (BinMutate, error) {
 		case binOpFail:
 			ev = dynamic.Event{Kind: dynamic.Fail, P: p}
 		case binOpMove:
-			ev = dynamic.Event{Kind: dynamic.Move, P: p, To: readPoint()}
+			ev = dynamic.Event{Kind: dynamic.Move, P: p, To: decodeCoords(&r, dim)}
 		default:
 			if r.Err() != nil {
 				return BinMutate{}, failSpec(&r)
@@ -136,7 +129,7 @@ func DecodeBinaryMutate(data []byte, lim Limits) (BinMutate, error) {
 		if r.Err() != nil {
 			return BinMutate{}, failSpec(&r)
 		}
-		if !bound.Contains(ev.P) || (ev.Kind == dynamic.Move && !bound.Contains(ev.To)) {
+		if !inMargin(bound, ev) {
 			return BinMutate{}, fmt.Errorf("%w: event %d outside the window's %d-cell margin",
 				ErrLimit, i, MutateMargin)
 		}
@@ -241,7 +234,8 @@ func encodeChanges(e *binwire.Buffer, changed []ChangeSpec) {
 }
 
 // encodeCoords appends exactly dim coordinates of c, padding a short
-// point with zeros (decoders read dim).
+// point with zeros (decoders read dim). It is the one point codec of
+// the binary mutate frames and the persistence frames.
 func encodeCoords(e *binwire.Buffer, c []int, dim int) {
 	for a := 0; a < dim; a++ {
 		v := 0
@@ -250,6 +244,16 @@ func encodeCoords(e *binwire.Buffer, c []int, dim int) {
 		}
 		e.Varint(int64(v))
 	}
+}
+
+// decodeCoords reads the dim coordinates encodeCoords wrote, leaving
+// any failure on r.
+func decodeCoords(r *binwire.Reader, dim int) []int {
+	p := make([]int, dim)
+	for a := range p {
+		p[a] = int(r.Varint())
+	}
+	return p
 }
 
 // decodeChanges reads an encodeChanges change set, leaving any failure
@@ -264,11 +268,7 @@ func decodeChanges(r *binwire.Reader) []ChangeSpec {
 	}
 	changed := make([]ChangeSpec, 0, min(count, r.Remaining()/(1+dim)))
 	for i := 0; i < count && r.Err() == nil; i++ {
-		p := make([]int, dim)
-		for a := 0; a < dim; a++ {
-			p[a] = int(r.Varint())
-		}
-		changed = append(changed, ChangeSpec{P: p, Slot: int(r.Varint())})
+		changed = append(changed, ChangeSpec{P: decodeCoords(r, dim), Slot: int(r.Varint())})
 	}
 	return changed
 }

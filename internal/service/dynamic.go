@@ -42,10 +42,11 @@ const DefaultMaxSessions = 16
 // and eviction flushes, so two goroutines touching the same key's files
 // concurrently can strand a live O_APPEND handle on an unlinked inode —
 // silently discarding every subsequent append. The table therefore
-// serializes the full per-key file lifecycle: `building` single-flights
-// the first open (concurrent misses wait instead of racing duplicate
-// opens), and `evicting` is a barrier a re-open waits on until the
-// eviction flush has closed the old handle and finished its renames.
+// gives a key's files one owner at a time: the live session, or else
+// the holder of the key's `busy` barrier — a first open (concurrent
+// misses wait instead of racing duplicate opens) or an eviction flush
+// (a re-open waits until it has closed the old handle and finished its
+// renames).
 type sessionTable struct {
 	mu      sync.Mutex
 	cap     int
@@ -53,12 +54,10 @@ type sessionTable struct {
 	lru     *list.List // of *dynSession
 	met     *Metrics
 
-	// building holds one channel per key whose first build/open is in
-	// flight; concurrent misses wait on it. evicting holds one channel
-	// per key whose eviction flush is in flight; a re-open waits on it.
-	// Both are closed (and removed) when the owning operation finishes.
-	building map[string]chan struct{}
-	evicting map[string]chan struct{}
+	// busy holds one channel per key whose files a first open or an
+	// eviction flush owns; a miss for the key waits on it. The owner
+	// closes (and removes) it when done.
+	busy map[string]chan struct{}
 
 	// store, when non-nil, makes sessions durable (DESIGN.md §12):
 	// lookups restore evicted sessions from disk, evictions flush dirty
@@ -79,12 +78,13 @@ type dynSession struct {
 	live  *liveSet
 	epoch uint64
 	// disk is the session's WAL handle when persistence is on; nil once
-	// the session is evicted (appends stop, the on-disk flush stands).
+	// the session is gone (appends stop, the files on disk stand).
 	disk *sessionDisk
-	// gone marks the session evicted: its flush has run (or is running)
-	// and the table no longer knows it. A handler holding a stale pointer
-	// must re-get instead of mutating an unreachable — and, with
-	// persistence on, no-longer-durable — ghost.
+	// gone marks the session ended: evicted (its flush has run or is
+	// running) or dropped after a failed WAL append, and the table no
+	// longer knows it. A handler holding a stale pointer must look the
+	// key up again (sessionTable.lock) instead of mutating an
+	// unreachable — and, with persistence on, no-longer-durable — ghost.
 	gone bool
 	// hub fans applied batches out to this session's push subscribers
 	// (DESIGN.md §13). Attaches and publishes run under mu; eviction
@@ -103,12 +103,11 @@ func newSessionTable(capacity int, met *Metrics) *sessionTable {
 		capacity = DefaultMaxSessions
 	}
 	return &sessionTable{
-		cap:      capacity,
-		entries:  make(map[string]*dynSession),
-		lru:      list.New(),
-		met:      met,
-		building: make(map[string]chan struct{}),
-		evicting: make(map[string]chan struct{}),
+		cap:     capacity,
+		entries: make(map[string]*dynSession),
+		lru:     list.New(),
+		met:     met,
+		busy:    make(map[string]chan struct{}),
 	}
 }
 
@@ -119,7 +118,6 @@ func newSessionTable(capacity int, met *Metrics) *sessionTable {
 // epoch 0.
 func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, error) {
 	key := plan.Signature() + "|" + w.String()
-	var build chan struct{}
 	for {
 		st.mu.Lock()
 		if s, ok := st.entries[key]; ok {
@@ -127,37 +125,24 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 			st.mu.Unlock()
 			return s, nil
 		}
-		// A pending eviction flush or an in-flight first build owns this
-		// key's on-disk state (snapshot + WAL renames, the old handle);
-		// wait for it to finish rather than racing its renames with our
-		// open, which could leave the published session appending to an
-		// unlinked inode.
-		if ch, ok := st.evicting[key]; ok {
-			st.mu.Unlock()
-			<-ch
-			continue
+		// A first open or an eviction flush owns this key's files
+		// (snapshot + WAL renames, the old handle); wait for it rather
+		// than race its renames with our open, which could leave the
+		// published session appending to an unlinked inode.
+		ch, busy := st.busy[key]
+		if !busy {
+			break
 		}
-		if ch, ok := st.building[key]; ok {
-			st.mu.Unlock()
-			<-ch
-			continue
-		}
-		build = make(chan struct{})
-		st.building[key] = build
 		st.mu.Unlock()
-		break
+		<-ch
 	}
-	// Build outside the table lock (the costly part): this goroutine is
-	// the key's sole builder — concurrent misses wait on the build
-	// channel and then find the published session — so the disk open,
-	// restore, and fresh-WAL creation never run twice for one key.
-	fail := func(err error) (*dynSession, error) {
-		st.mu.Lock()
-		delete(st.building, key)
-		st.mu.Unlock()
-		close(build)
-		return nil, err
-	}
+	// Build outside the table lock (the costly part): this goroutine
+	// owns the key until it publishes the session — concurrent misses
+	// wait on the barrier and then find it — so the disk open, restore,
+	// and fresh-WAL creation never run twice for one key.
+	own := make(chan struct{})
+	st.busy[key] = own
+	st.mu.Unlock()
 	var (
 		live  *liveSet
 		disk  *sessionDisk
@@ -166,7 +151,8 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 	if st.store != nil {
 		var err error
 		if disk, live, epoch, err = st.store.open(plan, w); err != nil {
-			return fail(err)
+			st.release(key)
+			return nil, err
 		}
 	}
 	restored := live != nil
@@ -175,7 +161,7 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 	}
 	s := &dynSession{key: key, plan: plan, live: live, epoch: epoch, disk: disk}
 	st.mu.Lock()
-	delete(st.building, key)
+	delete(st.busy, key)
 	s.elem = st.lru.PushFront(s)
 	st.entries[key] = s
 	st.met.sessCreated.Inc()
@@ -192,12 +178,12 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 		// The eviction barrier goes up in the same critical section that
 		// removes the key, so a miss for it can never slip between
 		// removal and the flush.
-		st.evicting[ev.key] = make(chan struct{})
+		st.busy[ev.key] = make(chan struct{})
 		evicted = append(evicted, ev)
 	}
 	st.met.sessLive.Set(int64(st.lru.Len()))
 	st.mu.Unlock()
-	close(build)
+	close(own)
 	// The eviction flush needs the evicted session's lock, which is never
 	// taken under the table lock: table.mu is held with no other lock.
 	for _, ev := range evicted {
@@ -211,11 +197,11 @@ func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, err
 // flushed to a snapshot before its WAL handle is released. Taking the
 // session lock first means an in-flight mutate on the evicted session
 // finishes (and lands in the flush) before the handle goes away; marking
-// the session gone sends later stale-pointer mutates back through get.
+// the session gone sends later stale-pointer mutates back through lock.
 // Closing the hub in the same critical section terminates every
 // subscriber stream with a resync-required Bye — a subscriber must never
 // hold a flushed ghost session alive, and once gone is set no new
-// subscriber can attach (subscribeAttach re-gets). Only then does the
+// subscriber can attach (sessionTable.lock skips it). Only then does the
 // eviction barrier come down, so a re-open for the key reads the
 // flushed files with no live handle left behind.
 func (st *sessionTable) finishEvict(s *dynSession) {
@@ -234,13 +220,7 @@ func (st *sessionTable) finishEvict(s *dynSession) {
 	}
 	subsClosed := s.hub.closeAll(byeEvicted)
 	s.mu.Unlock()
-	st.mu.Lock()
-	ch := st.evicting[s.key]
-	delete(st.evicting, s.key)
-	st.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
+	st.release(s.key)
 	if subsClosed > 0 {
 		st.met.subsEvicted.Add(uint64(subsClosed))
 		st.logfSafe("latticed: evicted session %s: terminated %d subscriber(s) at epoch %d",
@@ -250,6 +230,56 @@ func (st *sessionTable) finishEvict(s *dynSession) {
 		st.met.sessEvictedDirty.Inc()
 		st.logfSafe("latticed: evicted dirty session %s at epoch %d", s.key, epoch)
 	}
+}
+
+// release ends the first open or eviction flush that owns key's files
+// and wakes the misses waiting on it.
+func (st *sessionTable) release(key string) {
+	st.mu.Lock()
+	ch := st.busy[key]
+	delete(st.busy, key)
+	st.mu.Unlock()
+	close(ch)
+}
+
+// lock returns the live session for (plan, w) with its lock held. A
+// session evicted between lookup and lock has been flushed and its hub
+// closed, and the table no longer knows it, so anything done to it
+// would be unreachable (and, with persistence on, not durable): lock
+// looks up its live successor instead.
+func (st *sessionTable) lock(plan *core.Plan, w lattice.Window) (*dynSession, error) {
+	for {
+		s, err := st.get(plan, w)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		if !s.gone {
+			return s, nil
+		}
+		s.mu.Unlock()
+	}
+}
+
+// drop ends a session whose WAL append failed, with s.mu held, and
+// releases the lock. It goes like an eviction but without a flush: the
+// WAL handle closes, subscribers get a resync bye, and the table
+// forgets the session, so the next lookup restores the last durable
+// epoch instead of serving the lost batch's epoch again.
+func (st *sessionTable) drop(s *dynSession) {
+	s.gone = true
+	s.disk.close()
+	s.disk = nil
+	subsClosed := s.hub.closeAll(byeEvicted)
+	s.mu.Unlock()
+	st.mu.Lock()
+	if st.entries[s.key] == s {
+		st.lru.Remove(s.elem)
+		delete(st.entries, s.key)
+		st.met.sessLive.Set(int64(st.lru.Len()))
+	}
+	st.mu.Unlock()
+	st.met.subsEvicted.Add(uint64(subsClosed))
 }
 
 // flushAll snapshots every live dirty session to the data directory
@@ -382,7 +412,7 @@ func DecodeMutateRequest(data []byte, lim Limits) (MutateRequest, lattice.Window
 		if err != nil {
 			return MutateRequest{}, lattice.Window{}, nil, fmt.Errorf("event %d: %w", i, err)
 		}
-		if !bound.Contains(ev.P) || (ev.Kind == dynamic.Move && !bound.Contains(ev.To)) {
+		if !inMargin(bound, ev) {
 			return MutateRequest{}, lattice.Window{}, nil, fmt.Errorf("%w: event %d outside the window's %d-cell margin",
 				ErrLimit, i, MutateMargin)
 		}
@@ -408,6 +438,12 @@ func growMargin(win lattice.Window) lattice.Window {
 		bound.Hi[a] = satAdd(bound.Hi[a], MutateMargin)
 	}
 	return bound
+}
+
+// inMargin reports whether ev stays within bound (a growMargin window):
+// the check of both decode funnels and of the WAL fold.
+func inMargin(bound lattice.Window, ev dynamic.Event) bool {
+	return bound.Contains(ev.P) && (ev.Kind != dynamic.Move || bound.Contains(ev.To))
 }
 
 // satAdd returns a+b clamped to the int range instead of wrapping.

@@ -139,6 +139,20 @@ func (ls *liveSet) apply(events []dynamic.Event) (DisruptionSpec, []lattice.Poin
 	return d, touched, nil
 }
 
+// revert undoes an applied event prefix, newest first: the state apply
+// started from comes back when a batch must apply whole or not at all.
+func (ls *liveSet) revert(applied []dynamic.Event) {
+	for k := len(applied) - 1; k >= 0; k-- {
+		ev := applied[k]
+		if ev.Kind == dynamic.Move {
+			j, _ := ls.lookup(ev.To)
+			ls.set(j, ev.To, false)
+		}
+		i, live := ls.lookup(ev.P)
+		ls.set(i, ev.P, !live)
+	}
+}
+
 // changes turns a batch's touched points into its deltas: each point
 // once, with its post-batch slot under plan, or -1 where no sensor is
 // live. Sorting puts in-window points in window-index order (IndexOf is

@@ -19,25 +19,30 @@ package service
 // headers carry the full identity — lattice name, tile points, window —
 // so restore-on-start can recompile the plan from the file alone.
 //
-// Crash-safety invariants:
+// Restore (open) and catch-up read the files through the same readers
+// and fold the WAL under one rule set (foldWAL); open repairs what the
+// fold could not use, catch-up only reads. Crash-safety invariants:
 //
 //   - Appends are sequential writes of whole frames; a crash can only
-//     tear the final record. Replay detects the torn tail (truncated
-//     frame or CRC mismatch), truncates the file back to the last good
-//     record, and counts the recovery.
+//     tear the final record. The fold stops at the torn tail (truncated
+//     frame or CRC mismatch), and open truncates the file back to the
+//     last good record and counts the recovery.
 //   - Snapshots are written to a temp file, fsynced, and renamed before
 //     the WAL is reset, so every point in time has either the old
 //     (snapshot, log) pair or the new one.
-//   - Replay is idempotent: records whose epoch is at or below the
+//   - The fold is idempotent: records whose epoch is at or below the
 //     restored epoch are skipped, so a crash between the snapshot
 //     rename and the WAL reset double-applies nothing.
-//   - Replay honors the WAL's base epoch: a log based past the state
+//   - The fold has no holes: the next record must be the restored epoch
+//     plus one, and a record that skips an epoch or does not apply ends
+//     the usable log.
+//   - Restore honors the WAL's base epoch: a log based past the state
 //     actually restored (snapshot lost, corrupt, or rolled back) is
 //     unrecoverable — its suffix would replay onto the wrong base — so
 //     it is reset to the restored state instead of fabricating an
 //     assignment.
 //   - Epochs re-derive from the files: the session resumes at the
-//     snapshot epoch plus one per replayed record.
+//     snapshot epoch plus one per folded record.
 //   - Restore re-anchors state another slot policy wrote: a version-1
 //     file, or a stored slot that is not plan.SlotOf(p), moves the
 //     session to epoch + 1 behind a fresh snapshot, so no client copy
@@ -55,11 +60,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"tilingsched/internal/core"
@@ -108,16 +117,16 @@ const (
 const maxWALRecordEvents = 1 << 20
 
 // SessionStore owns a data directory of per-session WAL + snapshot
-// pairs. One store serves one sessionTable, which serializes all of a
-// key's file I/O: a live session's appends and snapshots run under its
-// mutex, open runs only for the table's single-flighted builder, and a
-// re-open waits out the key's eviction flush (sessionTable.building /
-// .evicting) — so the store itself needs no locking.
+// pairs. One store serves one sessionTable, which gives each key's
+// files one owner at a time: a live session's appends and snapshots
+// run under its mutex, and a first open or an eviction flush holds the
+// key's sessionTable.busy barrier — so the store itself needs no
+// locking. Catch-up only reads.
 type SessionStore struct {
 	dir       string
 	fsync     bool
 	snapEvery int
-	met       *Metrics // nil in bare tests
+	met       *Metrics
 	logf      func(format string, args ...any)
 }
 
@@ -168,16 +177,13 @@ func identOf(plan *core.Plan, w lattice.Window) sessIdent {
 	}
 }
 
-// sessionFileID maps a session key to its filename stem: a truncated
-// SHA-256, so arbitrary signatures and windows stay filesystem-safe.
-func sessionFileID(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:16])
-}
-
-// paths returns the snapshot and WAL paths of a session id.
-func (st *SessionStore) paths(id string) (snap, wal string) {
-	return filepath.Join(st.dir, id+".snap"), filepath.Join(st.dir, id+".wal")
+// paths returns a session's snapshot and WAL paths. The filename stem
+// is a truncated SHA-256 of the session key, so arbitrary signatures
+// and windows stay filesystem-safe.
+func (st *SessionStore) paths(id sessIdent) (snap, wal string) {
+	sum := sha256.Sum256([]byte(id.sig + "|" + id.win.String()))
+	stem := filepath.Join(st.dir, hex.EncodeToString(sum[:16]))
+	return stem + ".snap", stem + ".wal"
 }
 
 // --- Frame encoding -------------------------------------------------------
@@ -223,16 +229,10 @@ func encodeIdent(e *binwire.Buffer, id sessIdent) {
 	e.Uvarint(uint64(dim))
 	e.Uvarint(uint64(len(id.tile)))
 	for _, pt := range id.tile {
-		for a := 0; a < dim; a++ {
-			e.Varint(int64(pt[a]))
-		}
+		encodeCoords(e, pt, dim)
 	}
-	for a := 0; a < dim; a++ {
-		e.Varint(int64(id.win.Lo[a]))
-	}
-	for a := 0; a < dim; a++ {
-		e.Varint(int64(id.win.Hi[a]))
-	}
+	encodeCoords(e, id.win.Lo, dim)
+	encodeCoords(e, id.win.Hi, dim)
 }
 
 // decodeIdent reads the identity fields with the wire-level bounds.
@@ -250,20 +250,9 @@ func decodeIdent(r *binwire.Reader) (sessIdent, error) {
 	}
 	id.tile = make([]lattice.Point, tileN)
 	for i := range id.tile {
-		p := make(lattice.Point, dim)
-		for a := 0; a < dim; a++ {
-			p[a] = int(r.Varint())
-		}
-		id.tile[i] = p
+		id.tile[i] = decodeCoords(r, dim)
 	}
-	lo := make(lattice.Point, dim)
-	hi := make(lattice.Point, dim)
-	for a := 0; a < dim; a++ {
-		lo[a] = int(r.Varint())
-	}
-	for a := 0; a < dim; a++ {
-		hi[a] = int(r.Varint())
-	}
+	lo, hi := decodeCoords(r, dim), decodeCoords(r, dim)
 	if err := r.Err(); err != nil {
 		return sessIdent{}, err
 	}
@@ -294,13 +283,8 @@ func encodeSnapshot(e *binwire.Buffer, id sessIdent, epoch uint64, sf snapFrame)
 	e.Uvarint(epoch)
 	e.Uvarint(uint64(sf.m)) // palette
 	e.Uvarint(uint64(sf.m)) // budget
-	dim := id.win.Dim()
-	for a := 0; a < dim; a++ {
-		e.Varint(int64(sf.window.Lo[a]))
-	}
-	for a := 0; a < dim; a++ {
-		e.Varint(int64(sf.window.Hi[a]))
-	}
+	encodeCoords(e, sf.window.Lo, id.win.Dim())
+	encodeCoords(e, sf.window.Hi, id.win.Dim())
 	e.Uvarint(uint64(len(sf.slots)))
 	for _, s := range sf.slots {
 		e.Varint(int64(s))
@@ -336,15 +320,7 @@ func decodeSnapshot(data []byte) (sessIdent, uint64, snapFrame, error) {
 	epoch := r.Uvarint()
 	sf.m = r.Count(1<<31-1, "palette")
 	r.Count(1<<31-1, "budget")
-	dim := id.win.Dim()
-	lo := make(lattice.Point, dim)
-	hi := make(lattice.Point, dim)
-	for a := 0; a < dim; a++ {
-		lo[a] = int(r.Varint())
-	}
-	for a := 0; a < dim; a++ {
-		hi[a] = int(r.Varint())
-	}
+	lo, hi := decodeCoords(&r, id.win.Dim()), decodeCoords(&r, id.win.Dim())
 	if err := r.Err(); err != nil {
 		return fail(err)
 	}
@@ -411,13 +387,9 @@ func encodeWALRecord(e *binwire.Buffer, dim int, epoch uint64, events []dynamic.
 	e.Uvarint(uint64(len(events)))
 	for _, ev := range events {
 		e.Byte(byte(ev.Kind))
-		for a := 0; a < dim; a++ {
-			e.Varint(int64(ev.P[a]))
-		}
+		encodeCoords(e, ev.P, dim)
 		if ev.Kind == dynamic.Move {
-			for a := 0; a < dim; a++ {
-				e.Varint(int64(ev.To[a]))
-			}
+			encodeCoords(e, ev.To, dim)
 		}
 	}
 	endCRCFrame(e, off)
@@ -443,20 +415,13 @@ func decodeWALRecord(payload *binwire.Reader, dim int) (uint64, []dynamic.Event,
 		capHint = most
 	}
 	events := make([]dynamic.Event, 0, capHint)
-	readPoint := func() lattice.Point {
-		p := make(lattice.Point, dim)
-		for a := 0; a < dim; a++ {
-			p[a] = int(r.Varint())
-		}
-		return p
-	}
 	for i := 0; i < n; i++ {
 		kind := dynamic.EventKind(r.Byte())
-		ev := dynamic.Event{Kind: kind, P: readPoint()}
+		ev := dynamic.Event{Kind: kind, P: decodeCoords(&r, dim)}
 		switch kind {
 		case dynamic.Join, dynamic.Leave, dynamic.Fail:
 		case dynamic.Move:
-			ev.To = readPoint()
+			ev.To = decodeCoords(&r, dim)
 		default:
 			if r.Err() != nil {
 				return 0, nil, r.Err()
@@ -483,7 +448,8 @@ func decodeWALRecord(payload *binwire.Reader, dim int) (uint64, []dynamic.Event,
 type sessionDisk struct {
 	store     *SessionStore
 	ident     sessIdent
-	id        string
+	snapPath  string
+	walPath   string
 	wal       *os.File
 	walEvents int   // events logged since the last snapshot
 	walBytes  int64 // current WAL file size (header + records)
@@ -502,19 +468,16 @@ func (d *sessionDisk) append(epoch uint64, events []dynamic.Event) error {
 	}
 	d.walEvents += len(events)
 	d.walBytes += int64(len(e.Bytes()))
-	if m := d.store.met; m != nil {
-		m.walAppends.Inc()
-		m.walAppendNs.Record(uint64(time.Since(start)))
-	}
+	m := d.store.met
+	m.walAppends.Inc()
+	m.walAppendNs.Record(uint64(time.Since(start)))
 	if d.store.fsync {
 		syncStart := time.Now()
 		if err := d.wal.Sync(); err != nil {
 			return fmt.Errorf("service: WAL fsync: %w", err)
 		}
-		if m := d.store.met; m != nil {
-			m.walFsyncs.Inc()
-			m.walFsyncNs.Record(uint64(time.Since(syncStart)))
-		}
+		m.walFsyncs.Inc()
+		m.walFsyncNs.Record(uint64(time.Since(syncStart)))
 	}
 	return nil
 }
@@ -528,32 +491,41 @@ func (d *sessionDisk) shouldSnapshot() bool {
 // snapshot checkpoints the live set: the state is written to a temp
 // file, fsynced, renamed over the snapshot path, and only then is the
 // WAL reset to an empty log based at the snapshot epoch. A crash
-// between the two steps leaves stale WAL records, which replay skips by
-// epoch (idempotence).
+// between the two steps leaves stale WAL records, which the fold skips
+// by epoch (idempotence).
 func (d *sessionDisk) snapshot(plan *core.Plan, live *liveSet, epoch uint64) error {
 	start := time.Now()
-	snapPath, walPath := d.store.paths(d.id)
 	e := binwire.Get()
-	defer binwire.Put(e)
 	fw, slots := live.frame(plan)
 	encodeSnapshot(e, d.ident, epoch, snapFrame{m: plan.Slots(), window: fw, slots: slots})
-	if err := writeFileSync(snapPath, e.Bytes()); err != nil {
+	f, err := replaceFile(d.snapPath, e.Bytes())
+	binwire.Put(e)
+	if err != nil {
 		return fmt.Errorf("service: writing snapshot: %w", err)
 	}
-	e.Reset()
-	encodeWALHeader(e, d.ident, epoch)
-	fresh, err := replaceFileSync(walPath, e.Bytes())
-	if err != nil {
+	_ = f.Close() // synced before the rename
+	if err := d.resetWAL(epoch); err != nil {
 		return fmt.Errorf("service: resetting WAL: %w", err)
 	}
-	_ = d.wal.Close()
-	d.wal = fresh
-	d.walEvents = 0
-	d.walBytes = int64(e.Len())
-	if m := d.store.met; m != nil {
-		m.snapshots.Inc()
-		m.snapshotNs.Record(uint64(time.Since(start)))
+	d.store.met.snapshots.Inc()
+	d.store.met.snapshotNs.Record(uint64(time.Since(start)))
+	return nil
+}
+
+// resetWAL replaces the WAL with a bare header based at epoch and
+// appends from there on. It is the one place the header is written:
+// for a new session, for a log that restore cannot use, and after a
+// snapshot.
+func (d *sessionDisk) resetWAL(epoch uint64) error {
+	e := binwire.Get()
+	defer binwire.Put(e)
+	encodeWALHeader(e, d.ident, epoch)
+	f, err := replaceFile(d.walPath, e.Bytes())
+	if err != nil {
+		return err
 	}
+	d.close()
+	d.wal, d.walEvents, d.walBytes = f, 0, int64(e.Len())
 	return nil
 }
 
@@ -565,376 +537,253 @@ func (d *sessionDisk) close() {
 	}
 }
 
-// writeFileSync writes data to path atomically: temp file, fsync,
-// rename.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(path)
-}
-
-// syncDir fsyncs the directory containing path, making a preceding
-// rename durable: file-level fsyncs order the data, but only a
-// directory sync pins the rename itself, and an unpinned rename can be
-// lost — or reordered against a later one — on power loss.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
-}
-
-// replaceFileSync atomically replaces path with data and returns an
-// open handle positioned at its end, ready for appends.
-func replaceFileSync(path string, data []byte) (*os.File, error) {
+// replaceFile atomically replaces path with data — temp file, fsync,
+// rename, then an fsync of the directory — and returns the new file,
+// open at its end. File-level fsyncs order the data, but only the
+// directory sync pins the rename itself: an unpinned rename can be
+// lost, or reordered against a later one, on power loss.
+func replaceFile(path string, data []byte) (*os.File, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return nil, err
 	}
-	tmp := f.Name()
-	fail := func(err error) (*os.File, error) {
+	if _, err = f.Write(data); err == nil {
+		if err = f.Sync(); err == nil {
+			err = os.Rename(f.Name(), path)
+		}
+	}
+	if err != nil {
 		f.Close()
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return nil, err
 	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = dir.Sync()
+		dir.Close()
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(err)
-	}
-	if err := syncDir(path); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	return f, nil
 }
 
-// --- Open / restore -------------------------------------------------------
+// --- Reading a session's files ----------------------------------------------
 
-// restored is the state a session's files fold into.
-type restored struct {
-	live  *liveSet // nil: nothing on disk to restore
-	epoch uint64
-	stale bool // a version-1 file was read, or a stored slot is off the plan
+// readSnapshot reads the snapshot at path, checks that it names ident,
+// and folds it into a live set over ident's window. stale reports state
+// another slot policy wrote: a version-1 file, or a stored slot that is
+// not the plan's. A missing file is an fs.ErrNotExist error, an
+// unreadable or foreign snapshot wraps binwire.ErrMalformed, and any
+// other error is I/O.
+func readSnapshot(path string, plan *core.Plan, ident sessIdent) (live *liveSet, epoch uint64, stale bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	id, epoch, sf, err := decodeSnapshot(data)
+	if err == nil && !id.same(ident) {
+		err = fmt.Errorf("%w: snapshot names session %s|%s", binwire.ErrMalformed, id.sig, id.win)
+	}
+	if err != nil {
+		return nil, 0, false, err
+	}
+	live, stale = foldFrame(plan, ident.win, sf.window, sf.slots)
+	return live, epoch, stale || sf.version < persistVersion, nil
 }
 
-// open attaches a session to its on-disk state. When a snapshot or WAL
-// exists, the session is restored — the snapshot's live points first,
-// then every WAL record above the restored epoch folded in through the
-// normal apply path — and the returned live set is non-nil with the
-// re-derived epoch. State another slot policy wrote is re-anchored: the
-// epoch moves one past it and a fresh snapshot replaces the files, so
-// every client copy at an older epoch must resync. When nothing
-// (usable) is on disk, the returned set is nil and the caller seeds a
-// fresh session; either way the returned disk handle is ready for
-// appends. Corrupt tails and unreadable files are recovered (truncate /
-// recreate) and counted, never fatal; only real I/O errors fail the
-// open.
+// readWALHeader reads the WAL's opening frame from r: the identity, the
+// base epoch and the format version. Every failure wraps
+// binwire.ErrMalformed.
+func readWALHeader(r *binwire.Reader) (sessIdent, uint64, uint64, error) {
+	typ, payload := r.Frame()
+	if r.Err() == nil && typ != framePersistWALHeader {
+		r.Fail(fmt.Errorf("%w: frame %#x is not a WAL header", binwire.ErrMalformed, typ))
+	}
+	if err := r.Err(); err != nil {
+		return sessIdent{}, 0, 0, err
+	}
+	return decodeWALHeader(&payload)
+}
+
+// foldWAL folds the WAL records left in r into live, advancing *epoch,
+// under the one rule set restore and catch-up share:
+//
+//   - a record at or below *epoch is skipped: live already holds it;
+//   - the next record must be *epoch + 1;
+//   - a record that fails to decode, skips an epoch or does not apply
+//     — an event the mutate funnels would refuse as outside the
+//     window's MutateMargin does not — ends the usable log, and live
+//     stays at *epoch.
+//
+// Frames of other types are skipped (forward compatibility). visit,
+// when non-nil, sees the points each applied record touched, after
+// *epoch has moved; returning false stops the fold. foldWAL returns the
+// events applied, the bytes after the last frame it accepted, and the
+// reason the usable log ended early (nil when it did not).
+func foldWAL(r *binwire.Reader, live *liveSet, epoch *uint64, visit func(touched []lattice.Point) bool) (events, rest int, err error) {
+	dim, bound := live.win.Dim(), growMargin(live.win)
+	for r.Remaining() > 0 {
+		rest = r.Remaining()
+		typ, payload := r.Frame()
+		if err := r.Err(); err != nil {
+			return events, rest, err
+		}
+		if typ != framePersistWALRecord {
+			continue
+		}
+		rec, evs, err := decodeWALRecord(&payload, dim)
+		switch {
+		case err != nil:
+			return events, rest, err
+		case rec <= *epoch:
+			continue
+		case rec != *epoch+1:
+			return events, rest, fmt.Errorf("record for epoch %d follows epoch %d", rec, *epoch)
+		case slices.ContainsFunc(evs, func(ev dynamic.Event) bool { return !inMargin(bound, ev) }):
+			return events, rest, fmt.Errorf("epoch %d: event outside the window's %d-cell margin", rec, MutateMargin)
+		}
+		d, touched, err := live.apply(evs)
+		if err != nil {
+			live.revert(evs[:d.Events])
+			return events, rest, fmt.Errorf("epoch %d: %w", rec, err)
+		}
+		*epoch = rec
+		events += len(evs)
+		if visit != nil && !visit(touched) {
+			return events, r.Remaining(), nil
+		}
+	}
+	return events, 0, nil
+}
+
+// open attaches a session to its files and restores what they hold:
+// the snapshot's live set, with the WAL folded over it. It repairs as
+// it goes: a corrupt snapshot is dropped, an unusable WAL or one based
+// past the restored state is reset, the log is truncated after its
+// usable part, and state another slot policy wrote is re-anchored one
+// epoch on behind a fresh snapshot, so every client copy at an older
+// epoch must resync. Repairs are logged and counted, never fatal; only
+// I/O errors fail the open. The returned live set is nil when the
+// files held nothing to restore; the disk handle is ready for appends.
 func (st *SessionStore) open(plan *core.Plan, w lattice.Window) (*sessionDisk, *liveSet, uint64, error) {
 	ident := identOf(plan, w)
-	key := ident.sig + "|" + w.String()
-	id := sessionFileID(key)
-	snapPath, walPath := st.paths(id)
-	d := &sessionDisk{store: st, ident: ident, id: id}
+	d := &sessionDisk{store: st, ident: ident}
+	d.snapPath, d.walPath = st.paths(ident)
 
-	var rs restored
-	if data, err := os.ReadFile(snapPath); err == nil {
-		sid, sepoch, sf, derr := decodeSnapshot(data)
-		if derr == nil && !sid.same(ident) {
-			derr = fmt.Errorf("snapshot names session %s|%s", sid.sig, sid.win)
-		}
-		if derr == nil {
-			rs.live, rs.stale = foldFrame(plan, w, sf.window, sf.slots)
-			rs.epoch = sepoch
-			rs.stale = rs.stale || sf.version < persistVersion
-		} else {
-			st.logfSafe("latticed: dropping corrupt snapshot %s: %v", snapPath, derr)
-			if m := st.met; m != nil {
-				m.snapsDropped.Inc()
-			}
-			os.Remove(snapPath)
-		}
-	} else if !os.IsNotExist(err) {
+	live, epoch, stale, err := readSnapshot(d.snapPath, plan, ident)
+	switch {
+	case errors.Is(err, binwire.ErrMalformed):
+		st.logfSafe("latticed: dropping corrupt snapshot %s: %v", d.snapPath, err)
+		st.met.snapsDropped.Inc()
+		os.Remove(d.snapPath)
+	case err != nil && !errors.Is(err, fs.ErrNotExist):
 		return nil, nil, 0, fmt.Errorf("service: reading snapshot: %w", err)
 	}
+	restored := live != nil
+	if live == nil {
+		live = newLiveSet(w, true)
+	}
 
-	walData, walErr := os.ReadFile(walPath)
+	data, err := os.ReadFile(d.walPath)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, 0, fmt.Errorf("service: reading WAL: %w", err)
+	}
+	r := binwire.NewReader(data)
+	_, base, version, herr := readWALHeader(&r)
 	switch {
-	case walErr == nil:
-		seeded := rs.live != nil
-		replayed, rerr := st.replay(plan, w, &rs, walPath, walData)
-		if rerr != nil {
-			return nil, nil, 0, rerr
-		}
-		// A WAL with no snapshot and no replayable records describes a
-		// session that never mutated: treat it as fresh so the caller
-		// seeds it (identical state, cheaper path).
-		if !seeded && replayed == 0 {
-			rs.live = nil
-		}
-		if d.wal, walErr = os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644); walErr != nil {
-			return nil, nil, 0, fmt.Errorf("service: opening WAL: %w", walErr)
-		}
-		// Size for the /statusz WAL gauge; stat after open so a torn
-		// tail truncated by replay is not counted.
-		if fi, serr := d.wal.Stat(); serr == nil {
-			d.walBytes = fi.Size()
-		}
-	case os.IsNotExist(walErr):
-		// Fresh WAL based at the restored epoch (0 for a new session).
-		e := binwire.Get()
-		encodeWALHeader(e, ident, rs.epoch)
-		hdrLen := int64(e.Len())
-		f, err := replaceFileSync(walPath, e.Bytes())
-		binwire.Put(e)
-		if err != nil {
+	case err != nil:
+		// No WAL yet: a new session, or a snapshot whose log is gone.
+		if err := d.resetWAL(epoch); err != nil {
 			return nil, nil, 0, fmt.Errorf("service: creating WAL: %w", err)
 		}
-		d.wal = f
-		d.walBytes = hdrLen
-	default:
-		return nil, nil, 0, fmt.Errorf("service: reading WAL: %w", walErr)
-	}
-	if rs.stale {
-		if rs.live == nil {
-			rs.live = newLiveSet(w, true)
+	case herr != nil || base > epoch:
+		// A log without a usable header carries nothing recoverable, and
+		// one based past the restored state (its snapshot lost, corrupt,
+		// or rolled back) would fold its suffix onto the wrong base.
+		st.logfSafe("latticed: resetting WAL %s (base epoch %d, restored epoch %d): %v", d.walPath, base, epoch, herr)
+		st.met.walResets.Inc()
+		if err := d.resetWAL(epoch); err != nil {
+			return nil, nil, 0, fmt.Errorf("service: resetting WAL: %w", err)
 		}
-		rs.epoch++
-		if err := d.snapshot(plan, rs.live, rs.epoch); err != nil {
+	default:
+		from := epoch
+		events, rest, ferr := foldWAL(&r, live, &epoch, nil)
+		if ferr != nil {
+			st.logfSafe("latticed: WAL %s: usable log ends at epoch %d (%v): truncating %d trailing bytes",
+				d.walPath, epoch, ferr, rest)
+			st.met.tornTails.Inc()
+			if err := os.Truncate(d.walPath, int64(len(data)-rest)); err != nil {
+				return nil, nil, 0, fmt.Errorf("service: truncating torn WAL: %w", err)
+			}
+		}
+		st.met.replayedEvents.Add(uint64(events))
+		restored = restored || epoch > from
+		stale = stale || version < persistVersion
+		if d.wal, err = os.OpenFile(d.walPath, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			return nil, nil, 0, fmt.Errorf("service: opening WAL: %w", err)
+		}
+		d.walBytes = int64(len(data) - rest)
+	}
+	if stale {
+		epoch++
+		if err := d.snapshot(plan, live, epoch); err != nil {
 			d.close()
 			return nil, nil, 0, fmt.Errorf("service: re-anchoring: %w", err)
 		}
-		st.logfSafe("latticed: re-anchored session %s at epoch %d: its files held another slot policy's slots",
-			key, rs.epoch)
-		if m := st.met; m != nil {
-			m.sessReanchored.Inc()
-		}
+		st.logfSafe("latticed: re-anchored session %s|%s at epoch %d: its files held another slot policy's slots",
+			ident.sig, w, epoch)
+		st.met.sessReanchored.Inc()
+		restored = true
 	}
-	return d, rs.live, rs.epoch, nil
-}
-
-// resetWAL replaces a log the restore cannot use (corrupt header, or a
-// base epoch past the restored state) with a bare header based at
-// epoch, counting the reset.
-func (st *SessionStore) resetWAL(ident sessIdent, walPath string, epoch uint64) error {
-	if m := st.met; m != nil {
-		m.walResets.Inc()
+	if !restored {
+		live = nil
 	}
-	e := binwire.Get()
-	defer binwire.Put(e)
-	encodeWALHeader(e, ident, epoch)
-	f, err := replaceFileSync(walPath, e.Bytes())
-	if err != nil {
-		return fmt.Errorf("service: resetting WAL: %w", err)
-	}
-	f.Close()
-	return nil
-}
-
-// replay folds a WAL's records into rs (a nil live set is seeded from
-// the declared window first). It truncates any torn tail and returns
-// the number of events replayed.
-func (st *SessionStore) replay(plan *core.Plan, w lattice.Window, rs *restored, walPath string, data []byte) (int, error) {
-	r := binwire.NewReader(data)
-	typ, payload := r.Frame()
-	var base, version uint64
-	headerOK := r.Err() == nil && typ == framePersistWALHeader
-	if headerOK {
-		var herr error
-		_, base, version, herr = decodeWALHeader(&payload)
-		headerOK = herr == nil
-	}
-	if !headerOK {
-		// Unusable header: the log carries nothing recoverable. Reset it.
-		st.logfSafe("latticed: resetting WAL with corrupt header %s", walPath)
-		return 0, st.resetWAL(identOf(plan, w), walPath, rs.epoch)
-	}
-	if base > rs.epoch {
-		// The log is based on state we do not have — the snapshot it was
-		// truncated against is lost, corrupt, or rolled back, so events
-		// 1..base are gone. Replaying the surviving suffix onto the
-		// restored (older or seed) state would fabricate a silently wrong
-		// assignment; reset to the state actually restored instead.
-		st.logfSafe("latticed: WAL %s based at epoch %d but restored state is at epoch %d: dropping unrecoverable log",
-			walPath, base, rs.epoch)
-		return 0, st.resetWAL(identOf(plan, w), walPath, rs.epoch)
-	}
-	rs.stale = rs.stale || version < persistVersion
-
-	dim := w.Dim()
-	replayed := 0
-	torn := false
-	good := len(data) - r.Remaining()
-	for r.Remaining() > 0 {
-		typ, payload := r.Frame()
-		if r.Err() != nil {
-			torn = true
-			break
-		}
-		if typ != framePersistWALRecord {
-			// Unknown frame type: skip (forward compatibility).
-			good = len(data) - r.Remaining()
-			continue
-		}
-		recEpoch, events, derr := decodeWALRecord(&payload, dim)
-		if derr != nil {
-			torn = true
-			break
-		}
-		if recEpoch > rs.epoch {
-			if rs.live == nil {
-				rs.live = newLiveSet(w, true)
-			}
-			if _, _, aerr := rs.live.apply(events); aerr != nil {
-				// A logged batch that no longer applies means the prefix
-				// up to here is the usable log; drop the rest.
-				st.logfSafe("latticed: WAL %s: replay stopped at epoch %d: %v", walPath, recEpoch, aerr)
-				torn = true
-				break
-			}
-			rs.epoch = recEpoch
-			replayed += len(events)
-		}
-		good = len(data) - r.Remaining()
-	}
-	if torn {
-		st.logfSafe("latticed: WAL %s: torn tail detected, truncating %d trailing bytes",
-			walPath, len(data)-good)
-		if m := st.met; m != nil {
-			m.tornTails.Inc()
-		}
-		if err := os.Truncate(walPath, int64(good)); err != nil {
-			return 0, fmt.Errorf("service: truncating torn WAL: %w", err)
-		}
-	}
-	if m := st.met; m != nil && replayed > 0 {
-		m.replayedEvents.Add(uint64(replayed))
-	}
-	return replayed, nil
+	return d, live, epoch, nil
 }
 
 // catchUp rebuilds the persisted delta history of (plan, w) for a stale
 // subscriber: one Delta per epoch in (from, to], oldest first, folded
-// from the on-disk snapshot + WAL into a throwaway live set. Unlike
-// replay it is strictly read-only — it runs concurrently with the live
-// session's appends (every record with epoch ≤ to is fully written
-// before the caller observed to under the session lock, so the prefix
-// it needs is stable; torn newer bytes are simply not reached) — and it
-// never truncates or resets files. ok is false whenever the gap is not
-// covered — snapshot already past from, unusable or rotated WAL, a gap
-// or torn tail before to, state another slot policy wrote — and the
-// caller falls back to a full resync.
+// from the on-disk snapshot + WAL into a throwaway live set by the fold
+// restore uses. Unlike open it is strictly read-only — it runs
+// concurrently with the live session's appends (every record with
+// epoch ≤ to is fully written before the caller observed to under the
+// session lock, so the prefix it needs is stable; newer bytes are
+// simply not reached) — and it never truncates or resets files. ok is
+// false whenever the gap is not covered — snapshot already past from,
+// unusable or rotated WAL, a gap or torn tail before to, state another
+// slot policy wrote — and the caller falls back to a full resync.
 func (st *SessionStore) catchUp(plan *core.Plan, w lattice.Window, from, to uint64) ([]*Delta, bool) {
-	if from >= to {
-		return nil, true
-	}
 	ident := identOf(plan, w)
-	snapPath, walPath := st.paths(sessionFileID(ident.sig + "|" + w.String()))
-
-	var live *liveSet
-	var cur uint64
-	if data, err := os.ReadFile(snapPath); err == nil {
-		sid, sepoch, sf, derr := decodeSnapshot(data)
-		if derr != nil || !sid.same(ident) || sf.version < persistVersion {
-			return nil, false
-		}
-		if sepoch > from {
-			// Epochs (from, sepoch] are baked into the snapshot; their
-			// individual deltas are gone.
-			return nil, false
-		}
-		var stale bool
-		if live, stale = foldFrame(plan, w, sf.window, sf.slots); stale {
-			return nil, false
-		}
-		cur = sepoch
-	} else if !os.IsNotExist(err) {
+	snapPath, walPath := st.paths(ident)
+	live, epoch, stale, err := readSnapshot(snapPath, plan, ident)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		live = newLiveSet(w, true)
+	case err != nil || stale || epoch > from:
+		// epoch > from: epochs (from, epoch] are baked into the
+		// snapshot; their individual deltas are gone.
 		return nil, false
 	}
-
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		return nil, false
 	}
 	r := binwire.NewReader(data)
-	typ, payload := r.Frame()
-	if r.Err() != nil || typ != framePersistWALHeader {
+	if _, base, version, err := readWALHeader(&r); err != nil || base > epoch || version < persistVersion {
 		return nil, false
 	}
-	if _, base, version, herr := decodeWALHeader(&payload); herr != nil || base > cur || version < persistVersion {
-		// base > cur: the log was rotated against a snapshot newer than
-		// the one read above (or the snapshot is missing) — its records
-		// would replay onto the wrong base.
-		return nil, false
-	}
-	if live == nil {
-		live = newLiveSet(w, true)
-	}
-
-	dim := w.Dim()
 	var deltas []*Delta
-	for cur < to && r.Remaining() > 0 {
-		typ, payload := r.Frame()
-		if r.Err() != nil {
-			return nil, false
-		}
-		if typ != framePersistWALRecord {
-			continue
-		}
-		recEpoch, events, derr := decodeWALRecord(&payload, dim)
-		if derr != nil {
-			return nil, false
-		}
-		if recEpoch <= cur {
-			continue // pre-snapshot leftovers (idempotent skip, as in replay)
-		}
-		if recEpoch != cur+1 {
-			return nil, false // a hole in the history
-		}
-		_, touched, aerr := live.apply(events)
-		if aerr != nil {
-			return nil, false
-		}
-		cur = recEpoch
-		if cur > from {
-			deltas = append(deltas, &Delta{Epoch: cur, M: plan.Slots(), Alive: live.alive,
+	// A log that ends before to leaves epoch short of it: not covered.
+	foldWAL(&r, live, &epoch, func(touched []lattice.Point) bool {
+		if epoch > from {
+			deltas = append(deltas, &Delta{Epoch: epoch, M: plan.Slots(), Alive: live.alive,
 				Changed: live.changes(plan, touched)})
 		}
-	}
-	if cur < to {
-		return nil, false
-	}
-	return deltas, true
+		return epoch < to
+	})
+	return deltas, epoch >= to
 }
 
 // list scans the data directory and returns the identity of every
@@ -946,71 +795,51 @@ func (st *SessionStore) list() ([]sessIdent, error) {
 		return nil, fmt.Errorf("service: reading data dir: %w", err)
 	}
 	type cand struct {
+		stem  string
 		ident sessIdent
 		mtime time.Time
 	}
-	byID := map[string]*cand{}
-	add := func(stem string, ident sessIdent, mtime time.Time) {
-		c, ok := byID[stem]
-		if !ok {
-			byID[stem] = &cand{ident: ident, mtime: mtime}
-			return
-		}
-		if mtime.After(c.mtime) {
-			c.mtime = mtime
-		}
-	}
+	var cands []cand
 	for _, ent := range entries {
 		name := ent.Name()
+		ext := filepath.Ext(name)
+		if ext != ".snap" && ext != ".wal" {
+			continue
+		}
 		info, err := ent.Info()
 		if err != nil {
 			continue
 		}
-		switch {
-		case filepath.Ext(name) == ".snap":
-			data, err := os.ReadFile(filepath.Join(st.dir, name))
-			if err != nil {
-				continue
-			}
-			ident, _, _, derr := decodeSnapshot(data)
-			if derr != nil {
-				st.logfSafe("latticed: skipping unreadable snapshot %s: %v", name, derr)
-				continue
-			}
-			add(name[:len(name)-len(".snap")], ident, info.ModTime())
-		case filepath.Ext(name) == ".wal":
-			data, err := os.ReadFile(filepath.Join(st.dir, name))
-			if err != nil {
-				continue
-			}
+		data, err := os.ReadFile(filepath.Join(st.dir, name))
+		if err != nil {
+			continue
+		}
+		var ident sessIdent
+		if ext == ".snap" {
+			ident, _, _, err = decodeSnapshot(data)
+		} else {
 			r := binwire.NewReader(data)
-			typ, payload := r.Frame()
-			if r.Err() != nil || typ != framePersistWALHeader {
-				st.logfSafe("latticed: skipping WAL with unreadable header %s", name)
-				continue
-			}
-			ident, _, _, derr := decodeWALHeader(&payload)
-			if derr != nil {
-				st.logfSafe("latticed: skipping WAL with unreadable header %s: %v", name, derr)
-				continue
-			}
-			add(name[:len(name)-len(".wal")], ident, info.ModTime())
+			ident, _, _, err = readWALHeader(&r)
 		}
-	}
-	out := make([]sessIdent, 0, len(byID))
-	stems := make([]string, 0, len(byID))
-	for stem := range byID {
-		stems = append(stems, stem)
-	}
-	sort.Slice(stems, func(i, j int) bool {
-		a, b := byID[stems[i]], byID[stems[j]]
-		if !a.mtime.Equal(b.mtime) {
-			return a.mtime.Before(b.mtime)
+		if err != nil {
+			st.logfSafe("latticed: skipping unreadable %s: %v", name, err)
+			continue
 		}
-		return stems[i] < stems[j]
-	})
-	for _, stem := range stems {
-		out = append(out, byID[stem].ident)
+		// ReadDir sorts by name, so a session's two files are adjacent;
+		// the first readable one names it.
+		stem := strings.TrimSuffix(name, ext)
+		if n := len(cands); n > 0 && cands[n-1].stem == stem {
+			if info.ModTime().After(cands[n-1].mtime) {
+				cands[n-1].mtime = info.ModTime()
+			}
+			continue
+		}
+		cands = append(cands, cand{stem: stem, ident: ident, mtime: info.ModTime()})
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].mtime.Before(cands[j].mtime) })
+	out := make([]sessIdent, len(cands))
+	for i, c := range cands {
+		out[i] = c.ident
 	}
 	return out, nil
 }

@@ -9,13 +9,18 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -410,7 +415,7 @@ func walSize(t *testing.T, dir string) int64 {
 // to the session WAL with the default fsync-off policy (the number the
 // BENCH_*_wal.json baseline pins).
 func BenchmarkWALAppend(b *testing.B) {
-	store, err := newSessionStore(PersistOptions{Dir: b.TempDir()}, nil, nil)
+	store, err := newSessionStore(PersistOptions{Dir: b.TempDir()}, newServerMetrics(ServerOptions{}), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -899,4 +904,293 @@ func TestRestoreSkipsOversizedWindow(t *testing.T) {
 	if n, err := s.RestoreSessions(); err != nil || n != 0 {
 		t.Fatalf("RestoreSessions = (%d, %v), want (0, nil)", n, err)
 	}
+}
+
+// TestPersistWALGapStopsRestore restores a WAL whose records skip an
+// epoch (1, then 3): the fold stops before the gap, the file is
+// truncated there and the cut is counted as a torn tail, so the session
+// never resumes at epoch 3 without epoch 2's events.
+func TestPersistWALGapStopsRestore(t *testing.T) {
+	dir := t.TempDir()
+	s := newPersistServer(t, dir, ServerOptions{})
+	ident := identOf(testPlan(t), mustWindow(t, []int{0, 0}, []int{4, 4}))
+	_, walPath := s.sessions.store.paths(ident)
+	e := binwire.Get()
+	defer binwire.Put(e)
+	encodeWALHeader(e, ident, 0)
+	encodeWALRecord(e, 2, 1, []dynamic.Event{{Kind: dynamic.Leave, P: lattice.Pt(1, 1)}})
+	usable := int64(e.Len())
+	encodeWALRecord(e, 2, 3, []dynamic.Event{{Kind: dynamic.Leave, P: lattice.Pt(2, 2)}})
+	if err := os.WriteFile(walPath, e.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resync := mutateJSON(t, s, persistBody(`"full":true`), http.StatusOK)
+	got := changedMap(resync)
+	if _, ok := got["2,2"]; resync.Epoch != 1 || len(got) != 24 || !ok {
+		t.Fatalf("restored epoch %d with %d sensors (2,2 live: %v), want epoch 1, 24 sensors, 2,2 live",
+			resync.Epoch, len(got), ok)
+	}
+	if size := walSize(t, dir); size != usable {
+		t.Fatalf("WAL is %d bytes after restore, want %d (cut at the gap)", size, usable)
+	}
+	if n := s.met.tornTails.Load(); n != 1 {
+		t.Fatalf("%d torn tails counted, want 1", n)
+	}
+}
+
+// TestPersistAppendFailureEndsSession fails a WAL append: the batch
+// answers 500 and is neither acknowledged nor published, and the
+// session ends, its subscribers with a resync bye. The next request
+// restores the last durable epoch, so epoch 2 is acknowledged once,
+// with the contents the log holds.
+func TestPersistAppendFailureEndsSession(t *testing.T) {
+	dir := t.TempDir()
+	s := newPersistServer(t, dir, ServerOptions{MaxSessions: 1})
+	mutateJSON(t, s, persistBody(`"events":[{"op":"leave","p":[1,1]}]`), http.StatusOK)
+	one := uint64(1)
+	feed, err := s.Subscribe(PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}, WindowSpec{Lo: []int{0, 0}, Hi: []int{4, 4}}, &one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feed.Close()
+	sess, err := s.sessions.lock(testPlan(t), mustWindow(t, []int{0, 0}, []int{4, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.disk.wal.Close() // the next append fails
+	sess.mu.Unlock()
+
+	mutateJSON(t, s, persistBody(`"events":[{"op":"leave","p":[2,2]}]`), http.StatusInternalServerError)
+	if d, open := <-feed.C; open {
+		t.Fatalf("subscriber received epoch %d of an unlogged batch", d.Epoch)
+	}
+	if feed.Reason() != byeEvicted {
+		t.Fatalf("subscriber ended with %q, want %q", feed.Reason(), byeEvicted)
+	}
+	other := `{"plan":{"tile":{"name":"cross:2:1"}},"window":{"lo":[0,0],"hi":[2,2]},"full":true}`
+	mutateJSON(t, s, other, http.StatusOK)
+	if r := mutateJSON(t, s, persistBody(`"events":[{"op":"leave","p":[3,3]}],"epoch":1`), http.StatusOK); r.Epoch != 2 {
+		t.Fatalf("mutate from the last durable epoch answered epoch %d, want 2", r.Epoch)
+	}
+
+	s2 := newPersistServer(t, dir, ServerOptions{})
+	resync := mutateJSON(t, s2, persistBody(`"full":true`), http.StatusOK)
+	got := changedMap(resync)
+	_, left11 := got["1,1"]
+	_, live22 := got["2,2"]
+	_, left33 := got["3,3"]
+	if resync.Epoch != 2 || left11 || !live22 || left33 {
+		t.Fatalf("after restart: epoch %d, 1,1 live %v, 2,2 live %v, 3,3 live %v; want epoch 2 with only 2,2 live",
+			resync.Epoch, left11, live22, left33)
+	}
+}
+
+// TestEncoderBytesPinned pins the bytes the persistence, mutate and
+// delta encoders write for fixed inputs, so a codec change cannot move
+// the on-disk format (version 2) or the wire format unnoticed.
+func TestEncoderBytesPinned(t *testing.T) {
+	plan := testPlan(t)
+	id := identOf(plan, mustWindow(t, []int{-2, -3}, []int{4, 5}))
+	sf := snapFrame{m: 5, window: mustWindow(t, []int{-1, 0}, []int{3, 4}), slots: make([]int32, 25)}
+	for i := range sf.slots {
+		sf.slots[i] = int32(i%6) - 1
+	}
+	changed := []ChangeSpec{{P: []int{-1, 2}, Slot: 3}, {P: []int{300, -70000}, Slot: -1}}
+	epoch := uint64(9)
+	for _, c := range []struct {
+		name string
+		enc  func(e *binwire.Buffer)
+		want string
+	}{
+		{"snapshot", func(e *binwire.Buffer) { encodeSnapshot(e, id, 42, sf) },
+			"5d00000060077b377b021e7371756172652f323a2d312c303b302c2d313b302c303b302c313b312c30067371756172650205010000010000000202000305080a2a0505010006081901000204060801000204060801000204060801000204060801"},
+		{"WAL header", func(e *binwire.Buffer) { encodeWALHeader(e, id, 42) },
+			"3d00000061426ba5da021e7371756172652f323a2d312c303b302c2d313b302c303b302c313b312c30067371756172650205010000010000000202000305080a2a"},
+		{"WAL records", func(e *binwire.Buffer) {
+			encodeWALRecord(e, 2, 43, []dynamic.Event{
+				{Kind: dynamic.Join, P: lattice.Pt(1, 2)},
+				{Kind: dynamic.Move, P: lattice.Pt(-1, 0), To: lattice.Pt(3, -4)},
+			})
+			encodeWALRecord(e, 2, 44, []dynamic.Event{
+				{Kind: dynamic.Fail, P: lattice.Pt(0, 0)},
+				{Kind: dynamic.Leave, P: lattice.Pt(-200, 1<<20)},
+			})
+		}, "0f0000006278c4ed412b0200020403010006071100000062e5ebae742c02020000018f0380808001"},
+		{"mutate request", func(e *binwire.Buffer) {
+			if err := EncodeMutateBinary(e, MutateRequest{
+				Plan:   PlanSpec{Tile: TileSpec{Name: "cross:2:1"}},
+				Window: WindowSpec{Lo: []int{0, -1}, Hi: []int{4, 5}},
+				Events: []EventSpec{{Op: "join", P: []int{6, 2}}, {Op: "move", P: []int{1, 1}, To: []int{-3, 0}}},
+				Epoch:  &epoch,
+			}, ""); err != nil {
+				t.Fatal(err)
+			}
+		}, "1e000000030000000963726f73733a323a310200010406010902000c040302020500"},
+		{"mutate result", func(e *binwire.Buffer) {
+			encodeMutateResponse(e, MutateResponse{Signature: plan.Signature(), Epoch: 10, M: 5, Alive: 24,
+				Disruption: DisruptionSpec{Events: 2, Joined: 1, Departed: 1}, Changed: changed, Error: "partial"})
+		}, "3c000000851e7371756172652f323a2d312c303b302c2d313b302c303b302c313b312c300a05180201010000000202010406d804dfc50801077061727469616c010000007f"},
+		{"delta", func(e *binwire.Buffer) {
+			encodeDeltaFrame(e, &Delta{Epoch: 10, M: 5, Alive: 24, Full: true, Changed: changed})
+		}, "10000000870a0518010202010406d804dfc50801"},
+	} {
+		e := binwire.Get()
+		c.enc(e)
+		if got := hex.EncodeToString(e.Bytes()); got != c.want {
+			t.Errorf("%s bytes:\n got %s\nwant %s", c.name, got, c.want)
+		}
+		binwire.Put(e)
+	}
+}
+
+// FuzzFoldWAL holds restore and catch-up to the WAL fold's contract on
+// whole WAL files. Restore never panics and allocates in proportion to
+// the input. It is idempotent: a second restore over the files the
+// first one kept reaches the same epoch and live set and truncates
+// nothing more. Where catch-up covers the restored range, its deltas
+// take the seed to the restored live set. The target recomputes the
+// CRC of every whole frame first, so mutations reach record contents
+// instead of failing the checksum.
+func FuzzFoldWAL(f *testing.F) {
+	plan, err := core.NewPlan(lattice.Square(), prototile.Cross(2, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	w, err := lattice.NewWindow(lattice.Pt(0, 0), lattice.Pt(4, 4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ident := identOf(plan, w)
+	ev := func(k dynamic.EventKind, x, y int) dynamic.Event { return dynamic.Event{Kind: k, P: lattice.Pt(x, y)} }
+	move := dynamic.Event{Kind: dynamic.Move, P: lattice.Pt(0, 0), To: lattice.Pt(5, 5)}
+	wal := func(body func(e *binwire.Buffer)) []byte {
+		e := binwire.Get()
+		defer binwire.Put(e)
+		encodeWALHeader(e, ident, 0)
+		body(e)
+		return bytes.Clone(e.Bytes())
+	}
+	records := wal(func(e *binwire.Buffer) {
+		encodeWALRecord(e, 2, 1, []dynamic.Event{ev(dynamic.Leave, 1, 1)})
+		encodeWALRecord(e, 2, 2, []dynamic.Event{ev(dynamic.Join, 1, 1), ev(dynamic.Fail, 3, 3)})
+		encodeWALRecord(e, 2, 3, []dynamic.Event{move})
+	})
+	f.Add(wal(func(*binwire.Buffer) {}))
+	f.Add(records)
+	f.Add(records[:len(records)-3])
+	f.Add(wal(func(e *binwire.Buffer) {
+		encodeWALRecord(e, 2, 1, []dynamic.Event{ev(dynamic.Leave, 1, 1)})
+		encodeWALRecord(e, 2, 3, []dynamic.Event{ev(dynamic.Leave, 2, 2)})
+	}))
+	f.Add(wal(func(e *binwire.Buffer) {
+		encodeWALRecord(e, 2, 1, []dynamic.Event{ev(dynamic.Leave, 1, 1)})
+		encodeWALRecord(e, 2, 2, []dynamic.Event{ev(dynamic.Leave, 2, 2), ev(dynamic.Leave, 2, 2)})
+	}))
+	f.Add(wal(func(e *binwire.Buffer) {
+		encodeWALRecord(e, 2, 1, []dynamic.Event{ev(dynamic.Leave, 1, 1)})
+		off := beginCRCFrame(e, framePersistWALRecord+1)
+		e.Uvarint(7)
+		endCRCFrame(e, off)
+		encodeWALRecord(e, 2, 2, []dynamic.Event{ev(dynamic.Join, 6, 2)})
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = fixCRCs(bytes.Clone(data))
+		store, err := newSessionStore(PersistOptions{Dir: t.TempDir()}, newServerMetrics(ServerOptions{}), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, walPath := store.paths(ident)
+		if err := os.WriteFile(walPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		disk, live, epoch, err := store.open(plan, w)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		disk.close()
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(data))+1<<20 {
+			t.Fatalf("restore of %d bytes allocated %d", len(data), grew)
+		}
+		kept, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		disk2, live2, epoch2, err := store.open(plan, w)
+		if err != nil {
+			t.Fatalf("second restore: %v", err)
+		}
+		disk2.close()
+		again, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLive := (live == nil) == (live2 == nil) && maps.Equal(liveKeys(live2), liveKeys(live))
+		if epoch2 != epoch || !sameLive || !bytes.Equal(again, kept) {
+			t.Fatalf("second restore: epoch %d → %d, same live set %v, WAL %d → %d bytes",
+				epoch, epoch2, sameLive, len(kept), len(again))
+		}
+
+		r := binwire.NewReader(data)
+		_, base, version, err := readWALHeader(&r)
+		if err != nil || version != persistVersion || base >= epoch {
+			return
+		}
+		deltas, ok := store.catchUp(plan, w, base, epoch)
+		if !ok {
+			t.Fatalf("catch-up refused epochs (%d, %d], which restore folded", base, epoch)
+		}
+		copyKeys := liveKeys(newLiveSet(w, true))
+		for i, d := range deltas {
+			if d.Epoch != base+uint64(i)+1 {
+				t.Fatalf("catch-up delta %d has epoch %d, want %d", i, d.Epoch, base+uint64(i)+1)
+			}
+			for _, ch := range d.Changed {
+				if k := lattice.Point(ch.P).Key(); ch.Slot < 0 {
+					delete(copyKeys, k)
+				} else if ch.Slot == slotOf(plan, ch.P) {
+					copyKeys[k] = true
+				} else {
+					t.Fatalf("catch-up delta %d gives %v slot %d, plan slot %d", i, ch.P, ch.Slot, slotOf(plan, ch.P))
+				}
+			}
+		}
+		if len(deltas) != int(epoch-base) || !maps.Equal(copyKeys, liveKeys(live)) {
+			t.Fatalf("%d catch-up deltas fold to %d sensors; restore holds %d at epoch %d",
+				len(deltas), len(copyKeys), len(liveKeys(live)), epoch)
+		}
+	})
+}
+
+// fixCRCs rewrites the CRC slot of every whole persistence frame in
+// data, stopping at the first frame that does not fit, and returns data.
+func fixCRCs(data []byte) []byte {
+	for off := 0; off+binwire.FrameHeaderLen+4 <= len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n < 5 || n > len(data)-off-4 {
+			break
+		}
+		end := off + 4 + n
+		crc := off + binwire.FrameHeaderLen
+		binary.LittleEndian.PutUint32(data[crc:], crc32.ChecksumIEEE(data[crc+4:end]))
+		off = end
+	}
+	return data
+}
+
+// liveKeys returns the keys of a live set's points (none for nil).
+func liveKeys(ls *liveSet) map[string]bool {
+	if ls == nil {
+		return nil
+	}
+	keys := map[string]bool{}
+	ls.each(func(p lattice.Point) bool {
+		keys[p.Key()] = true
+		return true
+	})
+	return keys
 }

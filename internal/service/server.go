@@ -248,31 +248,18 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, c codec, t
 // status (200, 400 on a partial apply, 409 on a stale epoch — the
 // conflict response carries the current epoch so the client can
 // resync); a non-nil error means there is no MutateResponse payload
-// (session-table failure, 500). tsp, when non-nil, is the request's
-// trace: the epoch timeline stamps (overlay-apply, wal-append,
-// hub-publish) land on it, and the published delta carries it so
-// subscriber deliveries complete the span tree (DESIGN.md §14).
+// (session-table or WAL-append failure, 500). tsp, when non-nil, is the
+// request's trace: the epoch timeline stamps (overlay-apply,
+// wal-append, hub-publish) land on it, and the published delta carries
+// it so subscriber deliveries complete the span tree (DESIGN.md §14).
 func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (MutateResponse, int, error) {
 	events := req.Events
-	var sess *dynSession
-	for {
-		var err error
-		sess, err = s.sessions.get(plan, req.Window)
-		if err != nil {
-			return MutateResponse{}, http.StatusInternalServerError, err
-		}
-		// The session lock covers state mutation and response assembly
-		// only; it is released before any bytes go to the client, so a
-		// slow reader cannot stall the deployment's mutation pipeline.
-		sess.mu.Lock()
-		if !sess.gone {
-			break
-		}
-		// Evicted between lookup and lock: its flush has run and the
-		// table no longer knows it, so anything applied here would be
-		// acked yet unreachable (and unpersisted). Re-get the live
-		// session instead.
-		sess.mu.Unlock()
+	// The session lock covers state mutation and response assembly only;
+	// it is released before any bytes go to the client, so a slow reader
+	// cannot stall the deployment's mutation pipeline.
+	sess, err := s.sessions.lock(plan, req.Window)
+	if err != nil {
+		return MutateResponse{}, http.StatusInternalServerError, err
 	}
 	if req.HasEpoch && req.Epoch != sess.epoch {
 		conflict := MutateResponse{
@@ -296,32 +283,31 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 		if d.Events > 0 {
 			sess.epoch++
 			tsp.EpochSpan("overlay-apply", int64(sess.epoch), applyStart, tsp.Clock())
-			s.met.sessMutations.Inc()
-			s.met.sessEvents.Add(uint64(d.Events))
-			for _, ev := range events[:d.Events] {
-				s.met.opEvents[ev.Kind].Inc()
-			}
 			if sess.disk != nil {
 				walStart := tsp.Clock()
 				// Log the applied prefix (apply stops at the first bad
 				// event, so events[:d.Events] is exactly what changed
-				// state) stamped with the post-batch epoch. An append
-				// failure drops durability for this session — with a log
-				// line — rather than serving errors: the last flushed
-				// state stands, and replaying a WAL with a hole would
-				// corrupt, so the handle is closed for good.
+				// state) stamped with the post-batch epoch. A batch the
+				// log does not hold is never acknowledged: the session
+				// ends, and the next request restores the last durable
+				// epoch rather than serve this one again with other
+				// contents.
 				if perr := sess.disk.append(sess.epoch, events[:d.Events]); perr != nil {
-					s.sessions.logfSafe("latticed: session %s: %v (persistence disabled for this session)", sess.key, perr)
-					sess.disk.close()
-					sess.disk = nil
-				} else {
-					tsp.EpochSpan("wal-append", int64(sess.epoch), walStart, tsp.Clock())
-					if sess.disk.shouldSnapshot() {
-						if perr := sess.disk.snapshot(plan, sess.live, sess.epoch); perr != nil {
-							s.sessions.logfSafe("latticed: session %s: %v", sess.key, perr)
-						}
+					s.sessions.logfSafe("latticed: session %s: %v (session dropped at its last durable epoch)", sess.key, perr)
+					s.sessions.drop(sess)
+					return MutateResponse{}, http.StatusInternalServerError, perr
+				}
+				tsp.EpochSpan("wal-append", int64(sess.epoch), walStart, tsp.Clock())
+				if sess.disk.shouldSnapshot() {
+					if perr := sess.disk.snapshot(plan, sess.live, sess.epoch); perr != nil {
+						s.sessions.logfSafe("latticed: session %s: %v", sess.key, perr)
 					}
 				}
+			}
+			s.met.sessMutations.Inc()
+			s.met.sessEvents.Add(uint64(d.Events))
+			for _, ev := range events[:d.Events] {
+				s.met.opEvents[ev.Kind].Inc()
 			}
 			// Fan the applied batch out to subscribers while still under
 			// the session lock, so every subscriber queue observes epochs

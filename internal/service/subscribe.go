@@ -396,16 +396,9 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 	maxSubs := s.opts.MaxSubscribers
 	queue := s.opts.SubscribeQueue
 	for {
-		sess, err := s.sessions.get(plan, win)
+		sess, err := s.sessions.lock(plan, win)
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
-		}
-		sess.mu.Lock()
-		if sess.gone {
-			// Evicted between lookup and lock (same race as mutateCore):
-			// its hub is closed; attach to the live successor instead.
-			sess.mu.Unlock()
-			continue
 		}
 		feed := &Subscription{sess: sess, srv: s}
 		sub := &feed.sub
