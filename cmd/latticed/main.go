@@ -59,8 +59,8 @@
 // newHandler carries its own metrics registry — the one counter store
 // behind /metrics and /statusz — so tests and multi-server processes
 // observe independent counters. Recording on the request path is
-// lock-free atomic adds — the 18 ns/point engine contract survives
-// instrumentation (DESIGN.md §11). -slow-ms N samples requests slower
+// lock-free atomic adds, amortized over a batch, so the engine's
+// per-point cost survives instrumentation (DESIGN.md §11). -slow-ms N samples requests slower
 // than N milliseconds into the log with their decode/engine/encode
 // phase split (at most one entry per 100ms) and the ID of a span trace
 // at /debug/traces, both read from the request's one phase record.

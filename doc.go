@@ -21,9 +21,12 @@
 //     allocation-free mixed-radix bijection between a window's points and
 //     [0, Size()); Window.Each iterates with a reused buffer.
 //   - Tilings resolve cosets through a flat residue table of size det(H)
-//     indexed by the reduced coset representative (internal/tiling's
-//     cosetTable over intmat.ReduceInPlace), so Theorem 1/2 slot
-//     assignment is O(1) integer arithmetic with zero allocations.
+//     indexed in closed form: with the Smith form U·H·V = D
+//     (intmat.SmithForm), a point's residue is (p·V) mod D, one dot
+//     product and one mod per invariant factor above 1 (internal/tiling's
+//     cosetTable), so Theorem 1 slot assignment is O(d) integer
+//     arithmetic with zero allocations. internal/core certifies the slot
+//     function collision-free on all of Z^d before any plan is served.
 //   - Simulators, conflict graphs, and explicit schedules hold per-point
 //     state in flat []int / []int32 tables addressed by those indexes.
 //   - Conflict-graph adjacency is three-mode (DESIGN.md §7–§8):
@@ -55,7 +58,8 @@
 //     and window-shorthand variants) answers point batches through the
 //     dense coset tables under a zero-alloc steady-state contract: with
 //     a reused destination slice, a batch allocates nothing and each
-//     lookup is O(1) integer arithmetic. Plans are immutable, so any
+//     lookup is one dot product, one mod and one table read for a cyclic
+//     quotient. Plans are immutable, so any
 //     number of goroutines may query one plan concurrently.
 //   - cmd/latticed exposes the engine over compact JSON/HTTP
 //     (/v1/plan, /v1/slots:batch, /v1/maybroadcast:batch, /healthz);

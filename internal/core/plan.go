@@ -9,8 +9,9 @@
 //	ok := plan.MayBroadcast(lattice.Pt(3, 4), t)   // may it send at time t?
 //
 // Behind the scenes NewPlan decides exactness (question Q1 of the paper),
-// finds a tiling, builds the Theorem 1 schedule, and exposes optimality
-// reporting against the exact distance-2 chromatic number.
+// finds a tiling, builds the Theorem 1 schedule, certifies the slot
+// function it will serve collision-free on all of Z^d, and exposes
+// optimality reporting against the exact distance-2 chromatic number.
 package core
 
 import (
@@ -41,18 +42,28 @@ type Plan struct {
 	// sig is Signature(lat, tile), computed once at construction: the
 	// service reads it on every request.
 	sig string
+	// certChecks is the size of the certificate the served slot
+	// function passed at construction (certify).
+	certChecks int
 }
 
-// newPlan assembles a plan over a found tiling.
-func newPlan(lat *lattice.Lattice, tile *prototile.Tile, lt *tiling.LatticeTiling) *Plan {
-	return &Plan{lat: lat, tile: tile, tlng: lt, sched: schedule.FromLatticeTiling(lt), sig: Signature(lat, tile)}
+// newPlan assembles a plan over a found tiling and certifies the slot
+// function it serves (certify); a plan that fails is not returned.
+func newPlan(lat *lattice.Lattice, tile *prototile.Tile, lt *tiling.LatticeTiling) (*Plan, error) {
+	sched := schedule.FromLatticeTiling(lt)
+	checks, err := certify(tile, lt.Period(), sched.SlotOf)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{lat: lat, tile: tile, tlng: lt, sched: sched, sig: Signature(lat, tile), certChecks: checks}, nil
 }
 
 // NewPlan decides whether the prototile tiles the lattice and, if so,
 // returns the plan carrying the optimal schedule. The lattice parameter
 // fixes dimensions and metric context; the tiling search is purely
 // group-theoretic (Section 2 of the paper formulates everything in
-// coordinates, where every lattice is Z^d).
+// coordinates, where every lattice is Z^d). A plan whose served slot
+// function fails its certificate is an ErrUncertified error.
 func NewPlan(lat *lattice.Lattice, tile *prototile.Tile) (*Plan, error) {
 	if lat.Dim() != tile.Dim() {
 		return nil, fmt.Errorf("core: lattice dimension %d ≠ tile dimension %d", lat.Dim(), tile.Dim())
@@ -61,11 +72,12 @@ func NewPlan(lat *lattice.Lattice, tile *prototile.Tile) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s (|N| = %d)", ErrNotExact, tile.Name(), tile.Size())
 	}
-	return newPlan(lat, tile, lt), nil
+	return newPlan(lat, tile, lt)
 }
 
 // NewPlanWithPeriod builds a plan from an explicit period sublattice
-// (rows of period span T), validating the transversal condition.
+// (rows of period span T), validating the transversal condition and
+// certifying the plan as NewPlan does.
 func NewPlanWithPeriod(lat *lattice.Lattice, tile *prototile.Tile, period *intmat.Matrix) (*Plan, error) {
 	if lat.Dim() != tile.Dim() {
 		return nil, fmt.Errorf("core: lattice dimension %d ≠ tile dimension %d", lat.Dim(), tile.Dim())
@@ -74,7 +86,7 @@ func NewPlanWithPeriod(lat *lattice.Lattice, tile *prototile.Tile, period *intma
 	if err != nil {
 		return nil, err
 	}
-	return newPlan(lat, tile, lt), nil
+	return newPlan(lat, tile, lt)
 }
 
 // Signature returns the canonical signature of a (lattice, prototile)
@@ -100,6 +112,10 @@ func Signature(lat *lattice.Lattice, tile *prototile.Tile) string {
 // Signature returns the plan's canonical (lattice, prototile) signature,
 // Signature(p.Lattice(), p.Tile()).
 func (p *Plan) Signature() string { return p.sig }
+
+// CertChecks returns the number of checks the collision-freedom proof
+// ran on the plan's served slot function at construction.
+func (p *Plan) CertChecks() int { return p.certChecks }
 
 // Lattice returns the plan's lattice.
 func (p *Plan) Lattice() *lattice.Lattice { return p.lat }

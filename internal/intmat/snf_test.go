@@ -124,3 +124,98 @@ func TestSNFSingular(t *testing.T) {
 		t.Errorf("InvariantFactors(singular) = %v, want [1]", inv)
 	}
 }
+
+// TestSmithFormTransform checks the column transform SmithForm returns on
+// random full-rank HNF bases and on general square matrices: V is
+// unimodular, column k of H·V is ≡ 0 (mod D_k) for every k, and the
+// invariant factors multiply to |det H|. Together these make
+// p ↦ (p·V) mod D the quotient map onto Z^d / rowspan(H).
+func TestSmithFormTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(4)
+		m := randomMatrix(rng, n, 7)
+		det, _ := m.Det()
+		if det == 0 {
+			continue
+		}
+		if trial%2 == 0 {
+			m, _ = HNF(m)
+		}
+		d, v, err := SmithForm(m)
+		if err != nil {
+			t.Fatalf("SmithForm(%s): %v", m, err)
+		}
+		if dv, _ := v.Det(); dv != 1 && dv != -1 {
+			t.Fatalf("SmithForm(%s): det V = %d, want ±1 (V = %s)", m, dv, v)
+		}
+		sf, _ := SNF(m)
+		if !sf.Equal(d) {
+			t.Fatalf("SmithForm(%s) D = %s, SNF = %s", m, d, sf)
+		}
+		mv, _ := m.Mul(v)
+		prod := int64(1)
+		for k := 0; k < n; k++ {
+			dk := d.At(k, k)
+			prod *= dk
+			for i := 0; i < n; i++ {
+				if Mod(mv.At(i, k), dk) != 0 {
+					t.Fatalf("SmithForm(%s): (H·V)[%d][%d] = %d not ≡ 0 mod %d", m, i, k, mv.At(i, k), dk)
+				}
+			}
+		}
+		if prod != abs64(det) {
+			t.Fatalf("SmithForm(%s): ∏D = %d, want |det| = %d", m, prod, abs64(det))
+		}
+	}
+}
+
+// TestSmithFormQuotientMap checks the row-convention claim on small
+// bases directly: p is in the row lattice exactly when every
+// (p·V)_k ≡ 0 (mod D_k), against InLattice over a box of points.
+func TestSmithFormQuotientMap(t *testing.T) {
+	bases := [][][]int64{
+		{{2, 1}, {0, 2}},                  // tetromino:T's period, cyclic of order 4
+		{{2, 0}, {0, 2}},                  // 2Z×2Z, not cyclic
+		{{1, 2}, {0, 5}},                  // cross:2:1
+		{{1, 0, 3}, {0, 1, 2}, {0, 0, 7}}, // (1,…,1,m) in 3-D
+		{{2, 1, 0}, {0, 3, 1}, {0, 0, 2}},
+	}
+	for _, rows := range bases {
+		h := MustFromRows(rows)
+		d, v, err := SmithForm(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := h.Rows()
+		p := make([]int64, n)
+		var walk func(a int)
+		walk = func(a int) {
+			if a == n {
+				in, err := InLattice(h, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zero := true
+				for k := 0; k < n; k++ {
+					var s int64
+					for i := 0; i < n; i++ {
+						s += p[i] * v.At(i, k)
+					}
+					if Mod(s, d.At(k, k)) != 0 {
+						zero = false
+					}
+				}
+				if in != zero {
+					t.Fatalf("H = %s, p = %v: InLattice %v, (p·V) mod D zero %v", h, p, in, zero)
+				}
+				return
+			}
+			for x := int64(-6); x <= 6; x++ {
+				p[a] = x
+				walk(a + 1)
+			}
+		}
+		walk(0)
+	}
+}

@@ -148,12 +148,19 @@ func (p Point) Key() string {
 }
 
 // String renders the point as "(x, y, …)".
-func (p Point) String() string {
-	parts := make([]string, len(p))
+func (p Point) String() string { return string(p.AppendString(nil)) }
+
+// AppendString appends the point's String form to dst and returns the
+// extended buffer.
+func (p Point) AppendString(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, c := range p {
-		parts[i] = strconv.Itoa(c)
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = strconv.AppendInt(dst, int64(c), 10)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(dst, ')')
 }
 
 // Int64 returns the coordinates widened to int64, for use with intmat.

@@ -236,6 +236,14 @@ func (w Window) ContainsTranslateOf(s *Set) bool {
 }
 
 // String renders the window as "[lo .. hi]".
-func (w Window) String() string {
-	return fmt.Sprintf("[%s .. %s]", w.Lo, w.Hi)
+func (w Window) String() string { return string(w.AppendString(nil)) }
+
+// AppendString appends the window's String form to dst and returns the
+// extended buffer, without fmt or intermediate strings.
+func (w Window) AppendString(dst []byte) []byte {
+	dst = append(dst, '[')
+	dst = w.Lo.AppendString(dst)
+	dst = append(dst, " .. "...)
+	dst = w.Hi.AppendString(dst)
+	return append(dst, ']')
 }

@@ -1,6 +1,12 @@
 package lattice
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestWindowBasics(t *testing.T) {
 	w, err := NewWindow(Pt(-1, 0), Pt(1, 2))
@@ -149,5 +155,50 @@ func TestWindowContainsSet(t *testing.T) {
 	}
 	if w.ContainsSet(NewSet(Pt(0, 0), Pt(2, 0))) {
 		t.Error("ContainsSet = true, want false")
+	}
+}
+
+// TestWindowStringPinned pins Window.String and AppendString to the fmt
+// rendering they replaced, "[%s .. %s]" over "(x, y, …)" points built
+// with strings.Join. Session keys embed this text, persisted session
+// files are named by its hash, and /statusz shows it, so it must not
+// change by a byte.
+func TestWindowStringPinned(t *testing.T) {
+	fmtPoint := func(p Point) string {
+		parts := make([]string, len(p))
+		for i, c := range p {
+			parts[i] = strconv.Itoa(c)
+		}
+		return "(" + strings.Join(parts, ", ") + ")"
+	}
+	cases := []struct {
+		lo, hi Point
+		want   string
+	}{
+		{Pt(-1, 0), Pt(3, 4), "[(-1, 0) .. (3, 4)]"},
+		{Pt(-256, -256), Pt(-1, -1), "[(-256, -256) .. (-1, -1)]"},
+		{Pt(7), Pt(9), "[(7) .. (9)]"},
+		{Pt(-5), Pt(-5), "[(-5) .. (-5)]"},
+		{Pt(0, -1, 2), Pt(10, 11, 12), "[(0, -1, 2) .. (10, 11, 12)]"},
+		{Pt(math.MinInt, 0), Pt(math.MaxInt, 0), "[(" + strconv.Itoa(math.MinInt) + ", 0) .. (" + strconv.Itoa(math.MaxInt) + ", 0)]"},
+	}
+	for _, c := range cases {
+		w, err := NewWindow(c.lo, c.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := fmt.Sprintf("[%s .. %s]", fmtPoint(c.lo), fmtPoint(c.hi))
+		if ref != c.want {
+			t.Fatalf("reference %q ≠ literal %q", ref, c.want)
+		}
+		if got := w.String(); got != ref {
+			t.Errorf("String() = %q, want %q", got, ref)
+		}
+		if got := string(w.AppendString([]byte("sig|"))); got != "sig|"+ref {
+			t.Errorf("AppendString = %q, want %q", got, "sig|"+ref)
+		}
+		if got := c.lo.String(); got != fmtPoint(c.lo) {
+			t.Errorf("Point.String() = %q, want %q", got, fmtPoint(c.lo))
+		}
 	}
 }

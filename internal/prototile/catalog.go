@@ -85,8 +85,8 @@ func LTromino() *Tile {
 }
 
 // Tetromino returns the named tetromino (I, O, T, S, Z, L, J) anchored at
-// its lexicographically smallest cell. Of these, I, O, S, Z, L, J are
-// exact (tile by translation); T is not.
+// its lexicographically smallest cell. All seven are exact (tile by
+// translation); T tiles with the period lattice [[2,1],[0,2]] in HNF.
 func Tetromino(name string) (*Tile, error) {
 	shapes := map[string]string{
 		"I": "XXXX",

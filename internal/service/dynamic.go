@@ -111,13 +111,23 @@ func newSessionTable(capacity int, met *Metrics) *sessionTable {
 	}
 }
 
+// appendSessionKey appends a session's key, "<signature>|[lo .. hi]", to
+// dst: the session table's map key, the text /statusz shows and, hashed,
+// the stem of the session's files (SessionStore.paths).
+func appendSessionKey(dst []byte, sig string, w lattice.Window) []byte {
+	dst = append(dst, sig...)
+	dst = append(dst, '|')
+	return w.AppendString(dst)
+}
+
 // get returns the session for (plan, window), creating it on first use
 // with every window point live, which costs one bit per window point.
 // With persistence on, a session that was evicted (or predates this
 // process) restores from its snapshot + WAL instead of reseeding at
 // epoch 0.
 func (st *sessionTable) get(plan *core.Plan, w lattice.Window) (*dynSession, error) {
-	key := plan.Signature() + "|" + w.String()
+	var buf [128]byte
+	key := string(appendSessionKey(buf[:0], plan.Signature(), w))
 	for {
 		st.mu.Lock()
 		if s, ok := st.entries[key]; ok {

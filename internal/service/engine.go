@@ -10,10 +10,13 @@ import (
 // The batch engine answers many slot queries against one compiled plan.
 // Results are appended to a caller-supplied destination slice (pass
 // dst[:0] to reuse its backing array), so a warm caller performs zero
-// allocations per query: each lookup is one in-place HNF coset reduction
-// plus one dense table read (see internal/tiling's cosetTable). Compiled
-// plans are immutable after construction, making every function here
-// safe for any number of concurrent readers of the same plan.
+// allocations per query: each lookup is the closed-form Smith index —
+// one dot product and one mod per invariant factor above 1, a single
+// one of each for every cyclic quotient — plus one dense table read (see
+// internal/tiling's cosetTable). The slot function served is the one
+// core certified when the plan was compiled. Compiled plans are
+// immutable after construction, making every function here safe for
+// any number of concurrent readers of the same plan.
 
 // QuerySlots appends the slot of each point to dst and returns it.
 // On error (a point of the wrong dimension) the partial dst is returned

@@ -118,9 +118,11 @@ type Metrics struct {
 	planTraffic *obs.TopK
 	plans       *obs.Gauge // cached plans; set at scrape time
 
-	// Plan-registry traffic.
+	// Plan-registry traffic; regUncertified counts the failed
+	// compilations whose plan failed its certificate (core.ErrUncertified).
 	regHits, regMisses, regCompilations *obs.Counter
 	regEvictions, regErrors, regDedup   *obs.Counter
+	regUncertified                      *obs.Counter
 
 	// Dynamic-session traffic; opEvents counts applied events by
 	// dynamic.EventKind, sessReanchored restores re-anchored (§12).
@@ -142,12 +144,13 @@ type Metrics struct {
 	walAppendNs, walFsyncNs, snapshotNs *obs.Histogram
 
 	// Push plane (DESIGN.md §13): live/attached subscriber accounting,
-	// the two terminal modes (slow-consumer drops and session-eviction
-	// closes), deltas fanned out, per-batch fan-out wall time, and the
-	// two stale-attach recovery modes kept distinct — WAL catch-ups vs
-	// full resyncs.
+	// the three terminal modes (slow-consumer drops, session-eviction
+	// closes and element writes past their deadline), deltas fanned out,
+	// per-batch fan-out wall time, and the two stale-attach recovery
+	// modes kept distinct — WAL catch-ups vs full resyncs.
 	subsLive                            *obs.Gauge
 	subsTotal, subsDropped, subsEvicted *obs.Counter
+	subsTimedOut                        *obs.Counter
 	deltasPushed                        *obs.Counter
 	subCatchups, subResyncs             *obs.Counter
 	fanoutNs                            *obs.Histogram
@@ -198,6 +201,7 @@ func newServerMetrics(opts ServerOptions) *Metrics {
 	m.regEvictions = r.Counter("latticed_registry_evictions_total")
 	m.regErrors = r.Counter("latticed_registry_errors_total")
 	m.regDedup = r.Counter("latticed_registry_singleflight_dedup_total")
+	m.regUncertified = r.Counter("latticed_registry_uncertified_total")
 	m.sessLive = r.Gauge("latticed_sessions_live")
 	m.sessCreated = r.Counter("latticed_sessions_created_total")
 	m.sessEvicted = r.Counter("latticed_sessions_evicted_total")
@@ -224,6 +228,7 @@ func newServerMetrics(opts ServerOptions) *Metrics {
 	m.subsTotal = r.Counter("latticed_subscribers_total")
 	m.subsDropped = r.Counter("latticed_subscribers_dropped_total")
 	m.subsEvicted = r.Counter("latticed_subscribers_evicted_total")
+	m.subsTimedOut = r.Counter("latticed_subscribers_timed_out_total")
 	m.deltasPushed = r.Counter("latticed_deltas_pushed_total")
 	m.subCatchups = r.Counter("latticed_subscriber_catchups_total")
 	m.subResyncs = r.Counter("latticed_subscriber_resyncs_total")

@@ -181,7 +181,7 @@ func identOf(plan *core.Plan, w lattice.Window) sessIdent {
 // is a truncated SHA-256 of the session key, so arbitrary signatures
 // and windows stay filesystem-safe.
 func (st *SessionStore) paths(id sessIdent) (snap, wal string) {
-	sum := sha256.Sum256([]byte(id.sig + "|" + id.win.String()))
+	sum := sha256.Sum256(appendSessionKey(nil, id.sig, id.win))
 	stem := filepath.Join(st.dir, hex.EncodeToString(sum[:16]))
 	return stem + ".snap", stem + ".wal"
 }

@@ -27,6 +27,7 @@ package service
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,9 @@ type CompileFunc func() (*core.Plan, error)
 // canonical plan signature (core.Signature). Lookups that miss trigger
 // exactly one compilation per signature no matter how many goroutines
 // ask at once (singleflight); failed compilations are reported to every
-// waiter but never cached, so a later request retries. Its traffic is
-// counted in the metrics of the Server that instruments it: hits
+// waiter but never cached, so a later request retries, and a plan that
+// fails its certificate (core.ErrUncertified) is never served. Its
+// traffic is counted in the metrics of the Server that instruments it: hits
 // include requests that joined an in-flight compilation, and
 // compilations count successes only, so a signature requested from N
 // goroutines at once contributes exactly one compilation.
@@ -131,6 +133,9 @@ func (r *Registry) Get(sig string, compile CompileFunc) (*core.Plan, error) {
 		// Failures are reported to waiters but not cached.
 		if r.met != nil {
 			r.met.regErrors.Inc()
+			if errors.Is(err, core.ErrUncertified) {
+				r.met.regUncertified.Inc()
+			}
 		}
 		delete(r.entries, sig)
 	} else {
@@ -241,6 +246,18 @@ func (r *Registry) Lookup(sig string) (*core.Plan, bool) {
 		return nil, false
 	}
 	return e.plan, true
+}
+
+// Plans returns the cached plans, most recently used first (in-flight
+// compilations excluded). Safe for concurrent callers; a cold path.
+func (r *Registry) Plans() []*core.Plan {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*core.Plan, 0, r.lru.Len())
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(*regEntry).plan)
+	}
+	return out
 }
 
 // Len returns the number of cached plans (in-flight compilations

@@ -1,11 +1,17 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tilingsched/internal/core"
 	"tilingsched/internal/lattice"
@@ -252,5 +258,86 @@ func TestRegistryGetSpecConcurrentDistinct(t *testing.T) {
 	}
 	if n := m.regCompilations.Load(); n != 3 {
 		t.Errorf("compilations = %d, want 3", n)
+	}
+}
+
+// TestRegistryUncertifiedPlan pins the failure path of the plan
+// certificate: a compilation that fails with core.ErrUncertified answers
+// 500 to every request that waited on it, moves
+// latticed_registry_uncertified_total, and caches nothing, so a later
+// request compiles again. The failing compile is injected through the
+// registry's singleflight: an HTTP request joins the in-flight entry
+// before the compile returns.
+func TestRegistryUncertifiedPlan(t *testing.T) {
+	reg := NewRegistry(4)
+	s := NewServer(reg, ServerOptions{})
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+	spec := PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}
+	lat, tile, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := core.Signature(lat, tile)
+	release := make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := reg.Get(sig, func() (*core.Plan, error) {
+			<-release
+			return nil, fmt.Errorf("%w: injected", core.ErrUncertified)
+		})
+		first <- err
+	}()
+	type reply struct {
+		status int
+		body   []byte
+	}
+	joined := make(chan reply, 1)
+	go func() {
+		data, _ := json.Marshal(PlanRequest{Plan: spec})
+		resp, err := srv.Client().Post(srv.URL+"/v1/plan", "application/json", bytes.NewReader(data))
+		if err != nil {
+			joined <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		joined <- reply{status: resp.StatusCode, body: body}
+	}()
+	// The request has joined the in-flight compilation once the registry
+	// counts a singleflight dedup.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.met.regDedup.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("request never joined the in-flight compilation")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-first; !errors.Is(err, core.ErrUncertified) || planErrStatus(err) != http.StatusInternalServerError {
+		t.Fatalf("Get = %v (status %d), want ErrUncertified → 500", err, planErrStatus(err))
+	}
+	if r := <-joined; r.status != http.StatusInternalServerError || !bytes.Contains(r.body, []byte("certificate")) {
+		t.Fatalf("joined request: status %d, body %s; want 500 naming the certificate", r.status, r.body)
+	}
+	if n := s.met.regUncertified.Load(); n != 1 {
+		t.Fatalf("latticed_registry_uncertified_total = %d, want 1", n)
+	}
+	if reg.Len() != 0 || len(s.Statusz().PlanCerts) != 0 {
+		t.Fatalf("an uncertified plan was cached: %d plans", reg.Len())
+	}
+	// Not cached: the next request compiles the real, certified plan, and
+	// /statusz shows its certificate.
+	plan, err := reg.GetSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := s.Statusz().PlanCerts
+	if len(certs) != 1 || certs[0].Signature != sig ||
+		certs[0].CertChecks != plan.CertChecks() || certs[0].CertChecks == 0 {
+		t.Fatalf("statusz plan certificates = %+v, want one cross:2:1 row with %d checks", certs, plan.CertChecks())
+	}
+	if n := s.met.regUncertified.Load(); n != 1 {
+		t.Fatalf("latticed_registry_uncertified_total = %d after a good compile, want 1", n)
 	}
 }

@@ -558,7 +558,10 @@ func (s *Server) resolvePlan(w http.ResponseWriter, c codec, tr *reqTrace, ref B
 }
 
 // planErrStatus maps a plan-compilation failure to its HTTP status:
-// malformed specs are 400, inexact prototiles 422, anything else 500.
+// malformed specs are 400, inexact prototiles 422, and anything else 500.
+// That includes a plan whose served slot function failed its certificate
+// (core.ErrUncertified, counted by latticed_registry_uncertified_total):
+// the tile is exact, so the fault is the server's, never the client's.
 func planErrStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrSpec):

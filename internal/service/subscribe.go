@@ -16,8 +16,10 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -504,22 +506,29 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 	}
 	defer feed.Close()
 
-	// The stream outlives any server-level write timeout; clear the
-	// deadline for this response (best effort — recorders without
-	// deadline support still stream) and flush per element so idle
+	// The stream outlives any server-level write timeout, so each
+	// element gets its own write deadline (best effort — recorders
+	// without deadline support still stream), and flushes, so idle
 	// sensors see each epoch as it happens.
 	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", c.streamType())
 	w.WriteHeader(http.StatusOK)
-	// send encodes one element into a pooled buffer and writes it out.
-	// The buffer goes straight back, so an idle stream pins none.
+	// send encodes one element into a pooled buffer and writes it out
+	// within streamWriteDeadline. The buffer goes straight back, so an
+	// idle stream pins none.
 	send := func(encode func(e *binwire.Buffer)) bool {
 		e := binwire.Get()
 		defer binwire.Put(e)
 		encode(e)
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteDeadline))
 		_, err := w.Write(e.Bytes())
-		return err == nil && rc.Flush() == nil
+		if err == nil {
+			err = rc.Flush()
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.met.subsTimedOut.Inc()
+		}
+		return err == nil
 	}
 	last := feed.Hello.Epoch
 	deliver := func(d *Delta) bool {
@@ -570,6 +579,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 		}
 	}
 }
+
+// streamWriteDeadline bounds the write and flush of one subscription
+// stream element. A stream may idle between deltas for any length of
+// time, but a client that stops reading ends its stream within this
+// long: the write fails, the handler returns and the feed detaches, as
+// after any failed write. It matches the daemon's WriteTimeout; only
+// tests shorten it.
+var streamWriteDeadline = 30 * time.Second
 
 // ndjsonContentType is the JSON subscription stream's content type:
 // one JSON value per line (hello, then deltas).

@@ -15,8 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -783,4 +785,70 @@ func TestSubscribeRaceStress(t *testing.T) {
 	if s.met.sessMutations.Load() == 0 || s.met.subsTotal.Load() == 0 {
 		t.Fatal("stress did nothing")
 	}
+}
+
+// TestSubscribeStalledReaderTimesOut pins the per-element write deadline:
+// a raw TCP client subscribes to a 512×512 session and never reads, so
+// the relay blocks writing the opening resync. The handler must return
+// within the deadline plus slack, releasing the stream: the live gauge
+// goes back to 0 and latticed_subscribers_timed_out_total reads 1.
+// Without the deadline the relay blocks in Write for as long as the
+// client keeps the connection open, pinning the full resync delta and
+// its encode buffer.
+func TestSubscribeStalledReaderTimesOut(t *testing.T) {
+	old := streamWriteDeadline
+	streamWriteDeadline = 200 * time.Millisecond
+	t.Cleanup(func() { streamWriteDeadline = old })
+	s := NewServer(NewRegistry(4), ServerOptions{})
+	srv := httptest.NewUnstartedServer(s)
+	// Small socket buffers on both ends keep the kernel from absorbing
+	// the 6.4 MB resync, however its TCP memory limits are tuned.
+	srv.Listener = smallSendBufListener{srv.Listener}
+	srv.Start()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(4096)
+	}
+	body := `{"plan":{"tile":{"name":"cross:2:1"}},"window":{"lo":[0,0],"hi":[511,511]}}`
+	req := "POST /v1/plan:subscribe HTTP/1.1\r\nHost: latticed\r\nContent-Type: application/json\r\n" +
+		"Content-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + body
+	if _, err := io.WriteString(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.met.subsTotal.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the subscriber never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	attached := time.Now()
+	for s.met.subsLive.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("a stream that never reads was still live %v after attaching (deadline %v)",
+				time.Since(attached), streamWriteDeadline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := s.met.subsTimedOut.Load(); n != 1 {
+		t.Fatalf("latticed_subscribers_timed_out_total = %d, want 1", n)
+	}
+	t.Logf("stream released %v after attaching", time.Since(attached))
+}
+
+// smallSendBufListener shrinks each accepted connection's send buffer.
+type smallSendBufListener struct{ net.Listener }
+
+func (l smallSendBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(16 << 10)
+	}
+	return c, err
 }

@@ -21,7 +21,7 @@ type PeriodicTiling struct {
 	tile    *prototile.Tile
 	period  *intmat.Matrix
 	offsets []lattice.Point
-	// ct maps each residue of Z^d / P (by dense mixed-radix index) to the
+	// ct maps each residue of Z^d / P (by its Smith-form index) to the
 	// index k of the tile point covering it; lookups are allocation-free.
 	ct *cosetTable
 }
@@ -92,23 +92,21 @@ func FindPeriodicTiling(t *prototile.Tile, maxCosets int) (*PeriodicTiling, bool
 }
 
 // solveQuotientCover attempts to partition Z^d / P into k translates of
-// the tile by depth-first exact cover over residues. Residues are indexed
-// densely: the canonical representatives are exactly the points of the
-// fundamental box ∏_i [0, P_ii), whose lexicographic order matches the
-// cosetTable's mixed-radix index.
+// the tile by depth-first exact cover over residues. The canonical
+// representatives are the points of the fundamental box ∏_i [0, P_ii);
+// the search takes the lexicographically first uncovered one as its next
+// target, through order, which maps each box position to its residue's
+// cosetTable index.
 func solveQuotientCover(t *prototile.Tile, h *intmat.Matrix, k int) (*PeriodicTiling, bool) {
 	ct, err := newCosetTable(h)
 	if err != nil {
 		return nil, false
 	}
 	dim := t.Dim()
-	sides := make([]int, dim)
-	for i := 0; i < dim; i++ {
-		sides[i] = int(h.At(i, i))
-	}
-	box, err := lattice.BoxWindow(sides...)
-	if err != nil {
-		return nil, false
+	box := ct.box()
+	order := make([]int, ct.size())
+	for i := range order {
+		order[i], _ = ct.residueIndex(box.PointAt(i))
 	}
 	covered := make([]bool, ct.size())
 	var offsets []lattice.Point
@@ -117,8 +115,8 @@ func solveQuotientCover(t *prototile.Tile, h *intmat.Matrix, k int) (*PeriodicTi
 	var dfs func(used int) bool
 	dfs = func(used int) bool {
 		target := -1
-		for i, c := range covered {
-			if !c {
+		for i, ri := range order {
+			if !covered[ri] {
 				target = i
 				break
 			}

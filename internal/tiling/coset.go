@@ -8,58 +8,87 @@ import (
 	"tilingsched/internal/lattice"
 )
 
-// maxInlineDim bounds the dimension for which coset reduction runs on a
-// stack buffer; higher-dimensional points fall back to a heap scratch
-// slice. Every workload in this repository is far below the bound.
-const maxInlineDim = 16
-
-// cosetTable is the dense slot index shared by LatticeTiling and
-// PeriodicTiling: a flat array over the det(H) residues of Z^d modulo the
-// HNF period H, indexed by the mixed-radix number of the canonical
-// representative (which lies in the fundamental box ∏_i [0, H_ii)). Slot
-// lookup is one in-place HNF reduction plus one array read — no hashing,
-// no string keys, no allocation.
+// cosetTable is the dense slot index shared by LatticeTiling,
+// PeriodicTiling and Residues: a flat array over the det(H) residues of
+// Z^d modulo the period lattice T, the row span of the HNF H.
+//
+// The index is closed-form. The Smith form U·H·V = D makes
+// p ↦ ((p·V)_k mod D_k)_k the quotient map Z^d → Z^d/T ≅ ⊕_k Z/D_k, so a
+// residue's index is a mixed-radix number over the invariant factors
+// D_k > 1 whose digits are (p·c_k) mod D_k, with c_k = V[:,k] mod D_k.
+// A lookup is one dot product and one mod per such factor, one of each
+// for a cyclic quotient, plus one table read: no HNF reduction, no
+// hashing and no allocation.
 type cosetTable struct {
-	h      *intmat.Matrix
-	dim    int
-	hflat  []int64 // row-major copy of h, avoiding At() calls per entry
-	diag   []int64 // h[i][i]
-	stride []int   // mixed-radix strides over diag, last axis fastest
-	slot   []int32 // residue index → slot, -1 while unassigned
+	h     *intmat.Matrix
+	dim   int
+	mods  []int64 // the invariant factors D_k > 1
+	coef  []int64 // c_k for each factor, dim entries each, all in [0, D_k)
+	radix []int   // mixed-radix weights over mods, last factor fastest
+	// lim bounds the coordinates whose dot products stay inside int64:
+	// |p_i| ≤ lim for every i keeps Σ_i |p_i|·c_ki ≤ MaxInt64 for every k.
+	lim  int64
+	slot []int32 // residue index → slot, -1 while unassigned
 }
 
-// newCosetTable validates that h is a square full-rank HNF and allocates
-// the (initially unassigned) residue table of size det(h).
+// newCosetTable validates that h is a square full-rank HNF, derives the
+// Smith-form index, and allocates the (initially unassigned) residue
+// table of size det(h).
 func newCosetTable(h *intmat.Matrix) (*cosetTable, error) {
 	if !intmat.IsSquareFullRankHNF(h) {
 		return nil, fmt.Errorf("%w: period basis is not a full-rank HNF", ErrTiling)
 	}
 	dim := h.Rows()
-	ct := &cosetTable{
-		h:      h,
-		dim:    dim,
-		hflat:  make([]int64, dim*dim),
-		diag:   make([]int64, dim),
-		stride: make([]int, dim),
-	}
-	det := 1
+	det := int64(1)
 	for i := 0; i < dim; i++ {
-		for j := 0; j < dim; j++ {
-			ct.hflat[i*dim+j] = h.At(i, j)
-		}
 		d := h.At(i, i)
-		ct.diag[i] = d
-		if int64(det) > int64(math.MaxInt32)/d {
+		if det > int64(math.MaxInt32)/d {
 			return nil, fmt.Errorf("%w: sublattice index %v overflows the residue table", ErrTiling, h)
 		}
-		det *= int(d)
+		det *= d
 	}
-	s := 1
-	for i := dim - 1; i >= 0; i-- {
-		ct.stride[i] = s
-		s *= int(ct.diag[i])
+	d, v, err := intmat.SmithForm(h)
+	if err != nil {
+		return nil, err
 	}
-	ct.slot = make([]int32, det)
+	ct := &cosetTable{h: h, dim: dim, lim: math.MaxInt64, mods: make([]int64, 0, dim), coef: make([]int64, 0, dim*dim)}
+	for k := 0; k < dim; k++ {
+		m := d.At(k, k)
+		if m == 1 {
+			continue
+		}
+		ct.mods = append(ct.mods, m)
+		var sum int64
+		for i := 0; i < dim; i++ {
+			c := intmat.Mod(v.At(i, k), m)
+			ct.coef = append(ct.coef, c)
+			sum += c
+		}
+		if sum > 0 {
+			ct.lim = min(ct.lim, math.MaxInt64/sum)
+		}
+	}
+	ct.radix = make([]int, len(ct.mods))
+	size := 1
+	for k := len(ct.mods) - 1; k >= 0; k-- {
+		ct.radix[k] = size
+		size *= int(ct.mods[k])
+	}
+	if int64(size) != det {
+		return nil, fmt.Errorf("%w: invariant factors of %v multiply to %d, want det %d", ErrTiling, h, size, det)
+	}
+	// Each period vector must index residue 0; the SNF transform makes it
+	// so, and a table built on a wrong transform would serve wrong slots.
+	row := make(lattice.Point, dim)
+	for i := 0; i < dim; i++ {
+		for j := range row {
+			row[j] = int(h.At(i, j))
+		}
+		if idx, _ := ct.residueIndex(row); idx != 0 {
+			return nil, fmt.Errorf("%w: period row %d of %v indexes residue %d, want 0", ErrTiling, i, h, idx)
+		}
+	}
+	ct.slot = make([]int32, size)
 	for i := range ct.slot {
 		ct.slot[i] = -1
 	}
@@ -69,37 +98,62 @@ func newCosetTable(h *intmat.Matrix) (*cosetTable, error) {
 // size returns det(h), the number of residues.
 func (ct *cosetTable) size() int { return len(ct.slot) }
 
-// residueIndex reduces p modulo the period and returns the mixed-radix
-// index of its canonical representative. It allocates nothing for
-// dimensions up to maxInlineDim.
+// box returns the fundamental box ∏_i [0, H_ii) of the HNF: one canonical
+// representative per residue, in lexicographic order.
+func (ct *cosetTable) box() lattice.Window {
+	sides := make([]int, ct.dim)
+	for i := range sides {
+		sides[i] = int(ct.h.At(i, i))
+	}
+	w, err := lattice.BoxWindow(sides...)
+	if err != nil {
+		// Every side is a positive HNF diagonal entry.
+		panic(fmt.Sprintf("tiling: fundamental box of %v: %v", ct.h, err))
+	}
+	return w
+}
+
+// residueIndex returns the dense index of p's residue:
+// Σ_k radix_k · ((p·c_k) mod D_k). It allocates nothing; ok is false only
+// on a dimension mismatch.
 func (ct *cosetTable) residueIndex(p lattice.Point) (int, bool) {
 	if len(p) != ct.dim {
 		return 0, false
 	}
-	var buf [maxInlineDim]int64
-	var v []int64
-	if ct.dim <= maxInlineDim {
-		v = buf[:ct.dim]
-	} else {
-		v = make([]int64, ct.dim)
-	}
-	for i, c := range p {
-		v[i] = int64(c)
-	}
-	// In-place HNF reduction; v[i] is final once row i is processed, so
-	// the radix index accumulates in the same pass.
 	idx := 0
-	for i := 0; i < ct.dim; i++ {
-		row := ct.hflat[i*ct.dim:]
-		q := intmat.FloorDiv(v[i], ct.diag[i])
-		if q != 0 {
-			for j := i; j < ct.dim; j++ {
-				v[j] -= q * row[j]
+	for k, m := range ct.mods {
+		c := ct.coef[k*ct.dim : (k+1)*ct.dim]
+		c = c[:len(p)]
+		var s int64
+		for i, x := range p {
+			if int64(x) > ct.lim || int64(x) < -ct.lim {
+				return ct.wideIndex(p), true
 			}
+			s += int64(x) * c[i]
 		}
-		idx += int(v[i]) * ct.stride[i]
+		s %= m
+		if s < 0 {
+			s += m
+		}
+		idx += int(s) * ct.radix[k]
 	}
 	return idx, true
+}
+
+// wideIndex is residueIndex for a point with a coordinate beyond lim:
+// each coordinate is reduced mod D_k before it is multiplied, so every
+// product stays below D_k² < 2^62.
+func (ct *cosetTable) wideIndex(p lattice.Point) int {
+	idx := 0
+	for k, m := range ct.mods {
+		c := ct.coef[k*ct.dim : (k+1)*ct.dim]
+		var s int64
+		for i, x := range p {
+			s = (s + intmat.Mod(int64(x), m)*c[i]) % m
+		}
+		idx += int(s) * ct.radix[k]
+	}
+	return idx
 }
 
 // slotOf returns the slot assigned to p's residue; ok is false only on a
@@ -126,16 +180,6 @@ func (ct *cosetTable) assign(p lattice.Point, k int) (prev int, dup bool, err er
 	}
 	ct.slot[idx] = int32(k)
 	return 0, false, nil
-}
-
-// complete reports whether every residue has been assigned a slot.
-func (ct *cosetTable) complete() bool {
-	for _, s := range ct.slot {
-		if s < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // representative returns the canonical representative of p's coset as a

@@ -36,10 +36,9 @@ var ErrTiling = errors.New("tiling: invalid tiling")
 type LatticeTiling struct {
 	tile   *prototile.Tile
 	period *intmat.Matrix
-	// ct maps each residue of Z^d / T (by dense mixed-radix index of its
-	// canonical representative) to the covering tile point's index in the
-	// tile's point order — the basis of the Theorem 1 schedule. Lookup is
-	// allocation-free; see cosetTable.
+	// ct maps each residue of Z^d / T (by its Smith-form index) to the
+	// covering tile point's index in the tile's point order — the basis of
+	// the Theorem 1 schedule. Lookup is allocation-free; see cosetTable.
 	ct *cosetTable
 }
 
@@ -55,6 +54,13 @@ func NewLatticeTiling(t *prototile.Tile, period *intmat.Matrix) (*LatticeTiling,
 	if !intmat.IsSquareFullRankHNF(h) {
 		return nil, fmt.Errorf("%w: period basis is singular", ErrTiling)
 	}
+	return newLatticeTiling(t, t.Points(), h)
+}
+
+// newLatticeTiling is NewLatticeTiling for a period already in HNF, with
+// the tile's points, pts, passed in: the sublattice searches below call
+// it once per candidate and copy the points once.
+func newLatticeTiling(t *prototile.Tile, pts []lattice.Point, h *intmat.Matrix) (*LatticeTiling, error) {
 	ct, err := newCosetTable(h)
 	if err != nil {
 		return nil, err
@@ -62,7 +68,6 @@ func NewLatticeTiling(t *prototile.Tile, period *intmat.Matrix) (*LatticeTiling,
 	if ct.size() != t.Size() {
 		return nil, fmt.Errorf("%w: sublattice index %d ≠ |N| = %d", ErrTiling, ct.size(), t.Size())
 	}
-	pts := t.Points()
 	for i, p := range pts {
 		prev, dup, err := ct.assign(p, i)
 		if err != nil {
@@ -82,8 +87,9 @@ func NewLatticeTiling(t *prototile.Tile, period *intmat.Matrix) (*LatticeTiling,
 // sublattice of Z^d of index |N| in Hermite normal form; the first
 // transversal hit is returned.
 func FindLatticeTiling(t *prototile.Tile) (*LatticeTiling, bool) {
+	pts := t.Points()
 	for _, h := range intmat.SublatticesOfIndex(t.Dim(), int64(t.Size())) {
-		if lt, err := NewLatticeTiling(t, h); err == nil {
+		if lt, err := newLatticeTiling(t, pts, h); err == nil {
 			return lt, true
 		}
 	}
@@ -95,8 +101,9 @@ func FindLatticeTiling(t *prototile.Tile) (*LatticeTiling, bool) {
 // the chosen tiling.
 func AllLatticeTilings(t *prototile.Tile) []*LatticeTiling {
 	var out []*LatticeTiling
+	pts := t.Points()
 	for _, h := range intmat.SublatticesOfIndex(t.Dim(), int64(t.Size())) {
-		if lt, err := NewLatticeTiling(t, h); err == nil {
+		if lt, err := newLatticeTiling(t, pts, h); err == nil {
 			out = append(out, lt)
 		}
 	}
@@ -111,8 +118,9 @@ func (lt *LatticeTiling) Period() *intmat.Matrix { return lt.period.Clone() }
 
 // CosetIndex returns the index k (0-based) of the tile point n_k whose
 // coset contains p; every lattice point has exactly one such k. This is
-// the slot assignment of Theorem 1: one in-place HNF reduction plus one
-// dense table read, with no allocation.
+// the slot assignment of Theorem 1: one dot product and one mod per
+// invariant factor of Z^d / T above 1, plus one dense table read, with no
+// allocation.
 func (lt *LatticeTiling) CosetIndex(p lattice.Point) (int, error) {
 	k, ok := lt.ct.slotOf(p)
 	if !ok {

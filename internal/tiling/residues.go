@@ -13,13 +13,15 @@ import (
 // periodic conflict graphs (internal/graph), which store one conflict
 // stencil per residue class and classify vertices on the fly.
 //
-// ClassOf is one in-place HNF reduction plus mixed-radix arithmetic —
-// no hashing, no allocation for dimensions up to 16 — the same lookup
-// cost contract as the tiling slot tables built over the identical
-// machinery (DESIGN.md §3). A Residues is immutable and safe for
-// unlimited concurrent readers.
+// ClassOf is the Smith-form index of the tiling slot tables, built over
+// the identical machinery: one dot product and one mod per invariant
+// factor above 1, with no hashing and no allocation (DESIGN.md §3). A
+// Residues is immutable and safe for unlimited concurrent readers.
 type Residues struct {
 	ct *cosetTable
+	// ct.slot holds, for each class, the lexicographic position of its
+	// representative in box, the HNF's fundamental box.
+	box lattice.Window
 }
 
 // NewResidues builds the residue classifier of Z^d modulo the lattice
@@ -39,7 +41,13 @@ func NewResidues(period *intmat.Matrix) (*Residues, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Residues{ct: ct}, nil
+	r := &Residues{ct: ct, box: ct.box()}
+	for i := 0; i < ct.size(); i++ {
+		if _, dup, err := ct.assign(r.box.PointAt(i), i); err != nil || dup {
+			return nil, fmt.Errorf("%w: two box points of %v share a residue index", ErrTiling, h)
+		}
+	}
+	return r, nil
 }
 
 // IdentityResidues returns the trivial classifier of dimension dim: one
@@ -65,8 +73,7 @@ func (r *Residues) Classes() int { return r.ct.size() }
 func (r *Residues) Period() *intmat.Matrix { return r.ct.h.Clone() }
 
 // ClassOf returns the dense index (in [0, Classes())) of p's residue
-// class; ok is false only on a dimension mismatch. Allocation-free for
-// dimensions up to 16.
+// class; ok is false only on a dimension mismatch. It allocates nothing.
 func (r *Residues) ClassOf(p lattice.Point) (int, bool) {
 	return r.ct.residueIndex(p)
 }
@@ -79,9 +86,5 @@ func (r *Residues) Representative(c int) lattice.Point {
 	if c < 0 || c >= r.ct.size() {
 		panic(fmt.Sprintf("tiling: Representative(%d) outside [0, %d)", c, r.ct.size()))
 	}
-	p := make(lattice.Point, r.ct.dim)
-	for i := 0; i < r.ct.dim; i++ {
-		p[i] = (c / r.ct.stride[i]) % int(r.ct.diag[i])
-	}
-	return p
+	return r.box.PointAt(int(r.ct.slot[c]))
 }
