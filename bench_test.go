@@ -24,6 +24,7 @@ import (
 	"tilingsched/internal/prototile"
 	"tilingsched/internal/schedule"
 	"tilingsched/internal/service"
+	"tilingsched/internal/service/binwire"
 	"tilingsched/internal/tiling"
 	"tilingsched/internal/wsn"
 )
@@ -278,14 +279,27 @@ func BenchmarkHNFReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkFindLatticeTiling measures the full exactness search over
-// sublattices for the 9-point Moore neighborhood.
+// BenchmarkFindLatticeTiling measures the exactness search over
+// sublattices: the 9-point Moore neighborhood, the 4-D Chebyshev ball
+// (81 points; its hit is the 20,440th of 925,771 candidates) and the
+// 6×6 square.
 func BenchmarkFindLatticeTiling(b *testing.B) {
-	ti := prototile.ChebyshevBall(2, 1)
-	for i := 0; i < b.N; i++ {
-		if _, ok := tiling.FindLatticeTiling(ti); !ok {
-			b.Fatal("no tiling")
-		}
+	for _, c := range []struct {
+		name string
+		tile *prototile.Tile
+	}{
+		{"chebyshev-2-1", prototile.ChebyshevBall(2, 1)},
+		{"chebyshev-4-1", prototile.ChebyshevBall(4, 1)},
+		{"rect-6x6", prototile.Rect(6, 6)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := tiling.FindLatticeTiling(c.tile); !ok {
+					b.Fatal("no tiling")
+				}
+			}
+		})
 	}
 }
 
@@ -642,8 +656,10 @@ func BenchmarkServiceRegistryHit(b *testing.B) {
 }
 
 // BenchmarkServiceHTTPBatch measures cmd/latticed's wire layer end to
-// end: a 1024-point slots:batch request against an in-process server,
-// including JSON on both sides.
+// end: a 1024-point batch against an in-process server, client encode
+// and decode included, as one sub-benchmark per endpoint (slots, may)
+// and codec (json, bin). Both endpoints run the same slot walk; a may
+// answer is encoded from it.
 func BenchmarkServiceHTTPBatch(b *testing.B) {
 	srv := httptest.NewServer(service.NewServer(service.NewRegistry(8), service.ServerOptions{}))
 	defer srv.Close()
@@ -652,29 +668,68 @@ func BenchmarkServiceHTTPBatch(b *testing.B) {
 	for i := range points {
 		points[i] = []int{rng.Intn(2001) - 1000, rng.Intn(2001) - 1000}
 	}
-	body, err := json.Marshal(service.BatchRequest{
+	req := service.BatchRequest{
 		Plan:   service.PlanSpec{Tile: service.TileSpec{Name: "cross:2:1"}},
 		Points: points,
-	})
+		T:      12345,
+	}
+	jsonBody, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
 	client := srv.Client()
-	url := srv.URL + "/v1/slots:batch"
-	var resp service.SlotsResponse
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := client.Post(url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
+	for _, ep := range []string{"slots", "may"} {
+		may := ep == "may"
+		url := srv.URL + "/v1/slots:batch"
+		if may {
+			url = srv.URL + "/v1/maybroadcast:batch"
 		}
-		resp.Slots = resp.Slots[:0]
-		if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
-			b.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK || len(resp.Slots) != len(points) {
-			b.Fatalf("status %d, %d slots", r.StatusCode, len(resp.Slots))
+		e := binwire.Get()
+		service.EncodeBatchBinary(e, req, may, "")
+		binBody := bytes.Clone(e.Bytes())
+		binwire.Put(e)
+		for _, codec := range []string{"json", "bin"} {
+			body, contentType := jsonBody, "application/json"
+			if codec == "bin" {
+				body, contentType = binBody, service.BinaryContentType
+			}
+			b.Run(ep+"-"+codec, func(b *testing.B) {
+				var raw bytes.Buffer
+				var slots service.SlotsResponse
+				var flags service.MayResponse
+				for i := 0; i < b.N; i++ {
+					r, err := client.Post(url, contentType, bytes.NewReader(body))
+					if err != nil {
+						b.Fatal(err)
+					}
+					raw.Reset()
+					_, err = raw.ReadFrom(r.Body)
+					r.Body.Close()
+					if err != nil || r.StatusCode != http.StatusOK {
+						b.Fatalf("status %d: %v", r.StatusCode, err)
+					}
+					n := 0
+					switch {
+					case codec == "bin" && may:
+						flags, err = service.DecodeMayStream(raw.Bytes())
+						n = len(flags.May)
+					case codec == "bin":
+						slots, err = service.DecodeSlotsStream(raw.Bytes())
+						n = len(slots.Slots)
+					case may:
+						flags.May = flags.May[:0]
+						err = json.Unmarshal(raw.Bytes(), &flags)
+						n = len(flags.May)
+					default:
+						slots.Slots = slots.Slots[:0]
+						err = json.Unmarshal(raw.Bytes(), &slots)
+						n = len(slots.Slots)
+					}
+					if err != nil || n != len(points) {
+						b.Fatalf("%d answers (%v), want %d", n, err, len(points))
+					}
+				}
+			})
 		}
 	}
 }

@@ -60,7 +60,10 @@
 //     a reused destination slice, a batch allocates nothing and each
 //     lookup is one dot product, one mod and one table read for a cyclic
 //     quotient. Plans are immutable, so any
-//     number of goroutines may query one plan concurrently.
+//     number of goroutines may query one plan concurrently. The server
+//     walks the engine once per batch, for slots, on both batch
+//     endpoints: a may-broadcast flag is slot == t mod m, encoded from
+//     the slot run.
 //   - cmd/latticed exposes the engine over compact JSON/HTTP
 //     (/v1/plan, /v1/slots:batch, /v1/maybroadcast:batch, /healthz);
 //     cmd/bench -load is the matching load generator, and -debug serves

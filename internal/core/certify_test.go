@@ -43,8 +43,12 @@ func certPlans(t *testing.T) map[string]*Plan {
 func TestCertificateChecks(t *testing.T) {
 	for name, p := range certPlans(t) {
 		m, d := p.Slots(), p.Tile().Dim()
-		if got, want := p.CertChecks(), 3*m+d; got != want {
-			t.Errorf("%s: CertChecks() = %d, want %d", name, got, want)
+		got, err := certify(p.Tile(), p.Tiling().Period(), p.SlotOf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := 3*m + d; got != want {
+			t.Errorf("%s: certify ran %d checks, want %d", name, got, want)
 		}
 	}
 }
@@ -73,8 +77,12 @@ func TestCertificateLinearInSparseTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.CertChecks(), 3*m+1; got != want {
-		t.Errorf("CertChecks() = %d, want %d", got, want)
+	got, err := certify(tile, p.Tiling().Period(), p.SlotOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3*m + 1; got != want {
+		t.Errorf("certify ran %d checks, want %d", got, want)
 	}
 }
 

@@ -42,20 +42,16 @@ type Plan struct {
 	// sig is Signature(lat, tile), computed once at construction: the
 	// service reads it on every request.
 	sig string
-	// certChecks is the size of the certificate the served slot
-	// function passed at construction (certify).
-	certChecks int
 }
 
 // newPlan assembles a plan over a found tiling and certifies the slot
 // function it serves (certify); a plan that fails is not returned.
 func newPlan(lat *lattice.Lattice, tile *prototile.Tile, lt *tiling.LatticeTiling) (*Plan, error) {
 	sched := schedule.FromLatticeTiling(lt)
-	checks, err := certify(tile, lt.Period(), sched.SlotOf)
-	if err != nil {
+	if _, err := certify(tile, lt.Period(), sched.SlotOf); err != nil {
 		return nil, err
 	}
-	return &Plan{lat: lat, tile: tile, tlng: lt, sched: sched, sig: Signature(lat, tile), certChecks: checks}, nil
+	return &Plan{lat: lat, tile: tile, tlng: lt, sched: sched, sig: Signature(lat, tile)}, nil
 }
 
 // NewPlan decides whether the prototile tiles the lattice and, if so,
@@ -112,10 +108,6 @@ func Signature(lat *lattice.Lattice, tile *prototile.Tile) string {
 // Signature returns the plan's canonical (lattice, prototile) signature,
 // Signature(p.Lattice(), p.Tile()).
 func (p *Plan) Signature() string { return p.sig }
-
-// CertChecks returns the number of checks the collision-freedom proof
-// ran on the plan's served slot function at construction.
-func (p *Plan) CertChecks() int { return p.certChecks }
 
 // Lattice returns the plan's lattice.
 func (p *Plan) Lattice() *lattice.Lattice { return p.lat }

@@ -2,6 +2,7 @@ package intmat
 
 import (
 	"fmt"
+	"iter"
 )
 
 // HNF returns the row-style Hermite normal form of m together with a
@@ -165,71 +166,72 @@ func Index(h *Matrix) (int64, error) {
 	return idx, nil
 }
 
-// SublatticesOfIndex enumerates the Hermite normal forms of all sublattices
-// of Z^dim with the given index. Each returned matrix is a canonical HNF
-// basis (rows span the sublattice). The number of results equals the
+// SublatticesOfIndex yields the Hermite normal forms of all sublattices
+// of Z^dim with the given index, one fresh canonical HNF basis (rows
+// span the sublattice) per candidate. The number of results equals the
 // classical sublattice-counting function; for dim = 2 it is σ(index), the
-// sum of divisors.
-func SublatticesOfIndex(dim int, index int64) []*Matrix {
-	if dim <= 0 || index <= 0 {
-		return nil
-	}
-	var out []*Matrix
-	diag := make([]int64, dim)
-	var fillDiag func(pos int, rem int64)
-	fillDiag = func(pos int, rem int64) {
-		if pos == dim {
-			if rem == 1 {
-				out = append(out, enumerateOffDiagonal(diag)...)
-			}
+// sum of divisors. It grows fast with the index (925,771 for index 81 in
+// dim 4), so the candidates are generated lazily and a search that stops
+// early holds only the one it is testing.
+//
+// The order is fixed: diagonals (d_0, …, d_{dim−1}) in lexicographic
+// order over the ordered factorizations of the index, then, for each, the
+// entries above the diagonal — (i, j) for i < j, column by column, the
+// first position varying slowest — counting up through [0, d_j). A search
+// takes its first hit in this order, so the order is part of the result.
+func SublatticesOfIndex(dim int, index int64) iter.Seq[*Matrix] {
+	return func(yield func(*Matrix) bool) {
+		if dim <= 0 || index <= 0 {
 			return
 		}
-		for d := int64(1); d <= rem; d++ {
-			if rem%d == 0 {
-				diag[pos] = d
-				fillDiag(pos+1, rem/d)
+		h := New(dim, dim)
+		// free holds the positions (i, j), i < j, above a diagonal entry
+		// d_j > 1; the others can only hold 0.
+		var free [][2]int
+		var offDiag func(k int) bool
+		offDiag = func(k int) bool {
+			if k == len(free) {
+				return yield(h.Clone())
 			}
+			i, j := free[k][0], free[k][1]
+			for v := int64(0); v < h.At(j, j); v++ {
+				h.Set(i, j, v)
+				if !offDiag(k + 1) {
+					return false
+				}
+			}
+			h.Set(i, j, 0)
+			return true
 		}
+		var fillDiag func(pos int, rem int64) bool
+		fillDiag = func(pos int, rem int64) bool {
+			if pos == dim {
+				if rem != 1 {
+					return true
+				}
+				free = free[:0]
+				for j := 1; j < dim; j++ {
+					if h.At(j, j) == 1 {
+						continue
+					}
+					for i := 0; i < j; i++ {
+						free = append(free, [2]int{i, j})
+					}
+				}
+				return offDiag(0)
+			}
+			for d := int64(1); d <= rem; d++ {
+				if rem%d == 0 {
+					h.Set(pos, pos, d)
+					if !fillDiag(pos+1, rem/d) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		fillDiag(0, index)
 	}
-	fillDiag(0, index)
-	return out
-}
-
-// enumerateOffDiagonal generates every HNF matrix with the given diagonal:
-// entry (i, j) for i < j ranges over [0, diag[j]).
-func enumerateOffDiagonal(diag []int64) []*Matrix {
-	dim := len(diag)
-	base := New(dim, dim)
-	for i := 0; i < dim; i++ {
-		base.Set(i, i, diag[i])
-	}
-	// Collect the free positions (i, j) with i < j.
-	type pos struct{ i, j int }
-	var free []pos
-	for j := 1; j < dim; j++ {
-		if diag[j] == 1 {
-			continue // only the value 0 is possible
-		}
-		for i := 0; i < j; i++ {
-			free = append(free, pos{i, j})
-		}
-	}
-	var out []*Matrix
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(free) {
-			out = append(out, base.Clone())
-			return
-		}
-		p := free[k]
-		for v := int64(0); v < diag[p.j]; v++ {
-			base.Set(p.i, p.j, v)
-			rec(k + 1)
-		}
-		base.Set(p.i, p.j, 0)
-	}
-	rec(0)
-	return out
 }
 
 func abs64(x int64) int64 {

@@ -2,6 +2,7 @@ package intmat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -188,7 +189,7 @@ func TestSublatticesOfIndexCount(t *testing.T) {
 	// In Z^2 the number of sublattices of index m is σ(m).
 	sigma := map[int64]int{1: 1, 2: 3, 3: 4, 4: 7, 5: 6, 6: 12, 8: 15, 12: 28}
 	for m, want := range sigma {
-		got := SublatticesOfIndex(2, m)
+		got := slices.Collect(SublatticesOfIndex(2, m))
 		if len(got) != want {
 			t.Errorf("len(SublatticesOfIndex(2, %d)) = %d, want σ(%d) = %d", m, len(got), m, want)
 		}
@@ -197,7 +198,7 @@ func TestSublatticesOfIndexCount(t *testing.T) {
 
 func TestSublatticesOfIndexValid(t *testing.T) {
 	for _, m := range []int64{1, 4, 6, 9} {
-		for _, h := range SublatticesOfIndex(3, m) {
+		for h := range SublatticesOfIndex(3, m) {
 			if !IsSquareFullRankHNF(h) {
 				t.Errorf("sublattice %s is not canonical HNF", h)
 			}
@@ -214,7 +215,7 @@ func TestSublatticesOfIndexValid(t *testing.T) {
 
 func TestSublatticesOfIndexDistinct(t *testing.T) {
 	seen := map[string]bool{}
-	for _, h := range SublatticesOfIndex(2, 12) {
+	for h := range SublatticesOfIndex(2, 12) {
 		s := h.String()
 		if seen[s] {
 			t.Errorf("duplicate sublattice %s", s)
@@ -223,11 +224,117 @@ func TestSublatticesOfIndexDistinct(t *testing.T) {
 	}
 }
 
+// eagerSublattices is the list-building enumeration SublatticesOfIndex
+// replaced, kept as the reference for its order: every diagonal over the
+// ordered factorizations of the index, then every off-diagonal filling.
+func eagerSublattices(dim int, index int64) []*Matrix {
+	var out []*Matrix
+	diag := make([]int64, dim)
+	var fillDiag func(pos int, rem int64)
+	fillDiag = func(pos int, rem int64) {
+		if pos == dim {
+			if rem == 1 {
+				out = append(out, eagerOffDiagonal(diag)...)
+			}
+			return
+		}
+		for d := int64(1); d <= rem; d++ {
+			if rem%d == 0 {
+				diag[pos] = d
+				fillDiag(pos+1, rem/d)
+			}
+		}
+	}
+	fillDiag(0, index)
+	return out
+}
+
+// eagerOffDiagonal lists every HNF with the given diagonal: entry (i, j)
+// for i < j ranges over [0, diag[j]).
+func eagerOffDiagonal(diag []int64) []*Matrix {
+	dim := len(diag)
+	base := New(dim, dim)
+	for i := 0; i < dim; i++ {
+		base.Set(i, i, diag[i])
+	}
+	type pos struct{ i, j int }
+	var free []pos
+	for j := 1; j < dim; j++ {
+		if diag[j] == 1 {
+			continue
+		}
+		for i := 0; i < j; i++ {
+			free = append(free, pos{i, j})
+		}
+	}
+	var out []*Matrix
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(free) {
+			out = append(out, base.Clone())
+			return
+		}
+		p := free[k]
+		for v := int64(0); v < diag[p.j]; v++ {
+			base.Set(p.i, p.j, v)
+			rec(k + 1)
+		}
+		base.Set(p.i, p.j, 0)
+	}
+	rec(0)
+	return out
+}
+
+// TestSublatticesOfIndexOrder pins the lazy walk to the eager list it
+// replaced, matrix for matrix and in order, in dims 1–4: the tiling
+// search returns its first hit, so another order would change the
+// period a plan serves. Every yielded matrix is fresh: the test keeps
+// them all.
+func TestSublatticesOfIndexOrder(t *testing.T) {
+	maxIndex := map[int]int64{1: 64, 2: 64, 3: 48, 4: 24}
+	for dim := 1; dim <= 4; dim++ {
+		for index := int64(1); index <= maxIndex[dim]; index++ {
+			got := slices.Collect(SublatticesOfIndex(dim, index))
+			want := eagerSublattices(dim, index)
+			if len(got) != len(want) {
+				t.Fatalf("dim %d index %d: %d matrices, want %d", dim, index, len(got), len(want))
+			}
+			for k := range want {
+				if !got[k].Equal(want[k]) {
+					t.Fatalf("dim %d index %d: matrix %d is %s, want %s", dim, index, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestSublatticesOfIndexStopsEarly checks that a consumer can stop the
+// walk: breaking out of the range loop ends it (a walk that went on
+// would panic), and the matrices seen are the list's prefix.
+func TestSublatticesOfIndexStopsEarly(t *testing.T) {
+	want := eagerSublattices(4, 12)
+	var got []*Matrix
+	for h := range SublatticesOfIndex(4, 12) {
+		got = append(got, h)
+		if len(got) == 5 {
+			break
+		}
+	}
+	if len(got) != 5 {
+		t.Fatalf("got %d matrices, want 5", len(got))
+	}
+	for k, h := range got {
+		if !h.Equal(want[k]) {
+			t.Errorf("matrix %d is %s, want %s", k, h, want[k])
+		}
+	}
+}
+
 func TestSublatticesDegenerateArgs(t *testing.T) {
-	if got := SublatticesOfIndex(0, 4); got != nil {
+	if got := slices.Collect(SublatticesOfIndex(0, 4)); got != nil {
 		t.Errorf("SublatticesOfIndex(0, 4) = %v, want nil", got)
 	}
-	if got := SublatticesOfIndex(2, 0); got != nil {
+	if got := slices.Collect(SublatticesOfIndex(2, 0)); got != nil {
 		t.Errorf("SublatticesOfIndex(2, 0) = %v, want nil", got)
 	}
 }

@@ -2,6 +2,7 @@ package intmat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -115,7 +116,7 @@ func TestSNFUnimodularInvariance(t *testing.T) {
 // independent of the HNF canonicalization.
 func TestSublatticesPairwiseDistinct(t *testing.T) {
 	const m = 6
-	subs := SublatticesOfIndex(2, m)
+	subs := slices.Collect(SublatticesOfIndex(2, m))
 	signature := func(h *Matrix) string {
 		sig := make([]byte, 0, m*m)
 		for x := int64(0); x < m; x++ {

@@ -3,6 +3,8 @@ package service
 // The codec seam (DESIGN.md §10): each POST endpoint has one handler,
 // written against the codec interface; JSON and the binary frame
 // protocol (negotiated by Content-Type) are its two implementations.
+// Both batch endpoints drive the same engine walk, answerSlots: a
+// may-broadcast answer is encoded from the slot run.
 
 import (
 	"encoding/json"
@@ -29,10 +31,11 @@ type codec interface {
 
 	writeErr(w http.ResponseWriter, status int, msg string)
 	// writeBatch runs the engine over a dimension-checked batch of total
-	// answers and writes them. It is called in tr's engine phase; a codec
-	// that encodes after the engine enters tr's encode phase first. It
-	// returns an engine error only while nothing has been written, so the
-	// handler can still answer it.
+	// answers and writes them: slots, or for a FrameBatchMay request the
+	// flags slot == req.T mod m. It is called in tr's engine phase; a
+	// codec that encodes after the engine enters tr's encode phase first.
+	// It returns an engine error only while nothing has been written, so
+	// the handler can still answer it.
 	writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, tr *reqTrace) error
 	writeMutate(w http.ResponseWriter, status int, resp MutateResponse)
 
@@ -98,24 +101,18 @@ func (jsonCodec) writeErr(w http.ResponseWriter, status int, msg string) {
 }
 
 // writeBatch builds the whole answer before encoding it: the engine
-// hands over one run of total answers, which is buf's pooled slice. The
-// encoding is appended to a pooled buffer and written at once.
+// hands over one run of total slots, which is buf's pooled slice, and a
+// may-broadcast answer is encoded from that run. The encoding is
+// appended to a pooled buffer and written at once.
 func (jsonCodec) writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, tr *reqTrace) error {
-	may := req.Kind == binwire.FrameBatchMay
-	var err error
-	if may {
-		err = answerMay(plan, &req, total, buf, func([]bool) bool { return true })
-	} else {
-		err = answerSlots(plan, &req, total, buf, func([]int32) bool { return true })
-	}
-	if err != nil {
+	if err := answerSlots(plan, &req, total, buf, func([]int32) bool { return true }); err != nil {
 		return err
 	}
 	tr.phase(phaseEncode)
 	e := binwire.Get()
 	defer binwire.Put(e)
-	if may {
-		_, _ = e.Write(appendMayJSON(e.AvailableBuffer(), MayResponse{M: plan.Slots(), T: req.T, May: buf.may}))
+	if req.Kind == binwire.FrameBatchMay {
+		_, _ = e.Write(appendMayJSON(e.AvailableBuffer(), plan.Slots(), req.T, buf.slots))
 	} else {
 		_, _ = e.Write(appendSlotsJSON(e.AvailableBuffer(), SlotsResponse{M: plan.Slots(), Slots: buf.slots}))
 	}
@@ -141,20 +138,22 @@ func appendSlotsJSON(b []byte, r SlotsResponse) []byte {
 	return append(b, "]}\n"...)
 }
 
-// appendMayJSON is appendSlotsJSON for a may-broadcast answer.
-func appendMayJSON(b []byte, r MayResponse) []byte {
-	b = strconv.AppendInt(append(b, `{"m":`...), int64(r.M), 10)
-	b = strconv.AppendInt(append(b, `,"t":`...), r.T, 10)
+// appendMayJSON appends the bytes json.Encoder writes for the
+// MayResponse of m slots at time t whose flags are slots[i] == t mod m.
+func appendMayJSON(b []byte, m int, t int64, slots []int32) []byte {
+	b = strconv.AppendInt(append(b, `{"m":`...), int64(m), 10)
+	b = strconv.AppendInt(append(b, `,"t":`...), t, 10)
 	b = append(b, `,"may":`...)
-	if r.May == nil {
+	if slots == nil {
 		return append(b, "null}\n"...)
 	}
 	b = append(b, '[')
-	for i, v := range r.May {
+	active := slotAt(m, t)
+	for i, s := range slots {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendBool(b, v)
+		b = strconv.AppendBool(b, s == active)
 	}
 	return append(b, "]}\n"...)
 }

@@ -17,6 +17,13 @@ import (
 // core certified when the plan was compiled. Compiled plans are
 // immutable after construction, making every function here safe for
 // any number of concurrent readers of the same plan.
+//
+// The server walks the engine once per batch, for slots, whichever
+// endpoint asked: a may-broadcast answer is a function of the slot
+// answer (slot == t mod m, slotAt), so the codecs encode its flags from
+// the slot run. QueryMayBroadcast and QueryWindowMayBroadcast answer
+// the same question for library callers, and are the reference the
+// server's may encoders are tested against.
 
 // QuerySlots appends the slot of each point to dst and returns it.
 // On error (a point of the wrong dimension) the partial dst is returned
@@ -54,7 +61,7 @@ func QueryWindowSlots(p *core.Plan, w lattice.Window, dst []int32) ([]int32, err
 // QueryMayBroadcast appends, for each point, whether its sensor may
 // broadcast at time t (t ≡ slot (mod m)) to dst and returns it.
 func QueryMayBroadcast(p *core.Plan, pts []lattice.Point, t int64, dst []bool) ([]bool, error) {
-	r := slotAt(p, t)
+	r := slotAt(p.Slots(), t)
 	for _, pt := range pts {
 		s, err := p.SlotOf(pt)
 		if err != nil {
@@ -71,7 +78,7 @@ func QueryWindowMayBroadcast(p *core.Plan, w lattice.Window, t int64, dst []bool
 	if w.Dim() != p.Tile().Dim() {
 		return dst, fmt.Errorf("service: window dimension %d ≠ plan dimension %d", w.Dim(), p.Tile().Dim())
 	}
-	r := slotAt(p, t)
+	r := slotAt(p.Slots(), t)
 	var err error
 	w.Each(func(pt lattice.Point) bool {
 		var s int
@@ -125,46 +132,9 @@ func QueryWindowSlotsChunked(p *core.Plan, w lattice.Window, chunk int, buf []in
 	return nil
 }
 
-// QueryWindowMayChunked is QueryWindowSlotsChunked for may-broadcast
-// answers: runs of at most chunk booleans (slot == active slot at t)
-// in lexicographic window order through the reused buf.
-func QueryWindowMayChunked(p *core.Plan, w lattice.Window, t int64, chunk int, buf []bool, emit func([]bool) bool) error {
-	if w.Dim() != p.Tile().Dim() {
-		return fmt.Errorf("service: window dimension %d ≠ plan dimension %d", w.Dim(), p.Tile().Dim())
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	r := slotAt(p, t)
-	buf = buf[:0]
-	var err error
-	w.Each(func(pt lattice.Point) bool {
-		var s int
-		s, err = p.SlotOf(pt)
-		if err != nil {
-			return false
-		}
-		buf = append(buf, int32(s) == r)
-		if len(buf) == chunk {
-			if !emit(buf) {
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if len(buf) > 0 {
-		emit(buf)
-	}
-	return nil
-}
-
-// slotAt returns the active slot at time t: t mod m, normalized into
-// [0, m).
-func slotAt(p *core.Plan, t int64) int32 {
-	m := int64(p.Slots())
-	return int32(((t % m) + m) % m)
+// slotAt returns the active slot at time t under m slots: t mod m,
+// normalized into [0, m). A sensor may broadcast at t exactly when its
+// slot equals it.
+func slotAt(m int, t int64) int32 {
+	return int32(((t % int64(m)) + int64(m)) % int64(m))
 }

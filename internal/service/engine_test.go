@@ -127,20 +127,13 @@ func TestAnswerWindowRunReused(t *testing.T) {
 	plan := mustPlan(t, prototile.Cross(2, 1))
 	req := BinBatch{Window: lattice.CenteredWindow(2, 63), UseWindow: true, T: 3} // 127² answers
 	var buf queryBuf
-	slots := func() {
+	answer := func() {
 		if err := answerSlots(plan, &req, binChunkPoints, &buf, func([]int32) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	may := func() {
-		if err := answerMay(plan, &req, binChunkPoints, &buf, func([]bool) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, answer := range map[string]func(){"answerSlots": slots, "answerMay": may} {
-		answer()
-		if n := testing.AllocsPerRun(10, answer); n > 1 {
-			t.Errorf("warm window %s allocates %.1f per call, want ≤ 1", name, n)
-		}
+	answer()
+	if n := testing.AllocsPerRun(10, answer); n > 1 {
+		t.Errorf("warm window answerSlots allocates %.1f per call, want ≤ 1", n)
 	}
 }

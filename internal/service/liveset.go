@@ -6,6 +6,7 @@ package service
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 
@@ -41,6 +42,13 @@ func newLiveSet(w lattice.Window, full bool) *liveSet {
 		ls.alive = n
 	}
 	return ls
+}
+
+// clone copies the set, so that it can be read without the session
+// lock: the bit words, and the band map, whose points are never mutated
+// once stored.
+func (ls *liveSet) clone() *liveSet {
+	return &liveSet{win: ls.win, bits: slices.Clone(ls.bits), band: maps.Clone(ls.band), alive: ls.alive}
 }
 
 // lookup returns p's window index (-1 outside the window) and whether a

@@ -248,18 +248,6 @@ func (r *Registry) Lookup(sig string) (*core.Plan, bool) {
 	return e.plan, true
 }
 
-// Plans returns the cached plans, most recently used first (in-flight
-// compilations excluded). Safe for concurrent callers; a cold path.
-func (r *Registry) Plans() []*core.Plan {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*core.Plan, 0, r.lru.Len())
-	for e := r.lru.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*regEntry).plan)
-	}
-	return out
-}
-
 // Len returns the number of cached plans (in-flight compilations
 // excluded).
 func (r *Registry) Len() int {

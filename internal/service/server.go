@@ -90,12 +90,12 @@ type Server struct {
 }
 
 // queryBuf carries one request's scratch between pool uses: the raw
-// body, the batch decode arena both codecs fill, and the answer slices.
+// body, the batch decode arena both codecs fill, and the slot run both
+// batch endpoints answer from.
 type queryBuf struct {
 	body  []byte
 	sc    BinScratch
 	slots []int32
-	may   []bool
 }
 
 // putBuf returns buf to the pool, dropping the arena's aliases into the
@@ -443,8 +443,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, c codec, tr
 // answerSlots runs the engine over a batch and hands the slots to emit
 // in runs of at most chunk, through buf's pooled slice: a window answer
 // never materializes beyond one run, and that run stays in buf for the
-// next request. emit returning false abandons the query (the client
-// hung up).
+// next request. It is the one engine walk of both batch endpoints: a
+// may-broadcast codec encodes its flags from these runs. emit returning
+// false abandons the query (the client hung up).
 func answerSlots(plan *core.Plan, req *BinBatch, chunk int, buf *queryBuf, emit func([]int32) bool) error {
 	if req.UseWindow {
 		return QueryWindowSlotsChunked(plan, req.Window, chunk, buf.slots[:0], func(run []int32) bool {
@@ -456,24 +457,6 @@ func answerSlots(plan *core.Plan, req *BinBatch, chunk int, buf *queryBuf, emit 
 	buf.slots, err = QuerySlots(plan, req.Points, buf.slots[:0])
 	for off := 0; err == nil && off < len(buf.slots); off += chunk {
 		if !emit(buf.slots[off:min(off+chunk, len(buf.slots))]) {
-			break
-		}
-	}
-	return err
-}
-
-// answerMay is answerSlots for may-broadcast flags at req.T.
-func answerMay(plan *core.Plan, req *BinBatch, chunk int, buf *queryBuf, emit func([]bool) bool) error {
-	if req.UseWindow {
-		return QueryWindowMayChunked(plan, req.Window, req.T, chunk, buf.may[:0], func(run []bool) bool {
-			buf.may = run
-			return emit(run)
-		})
-	}
-	var err error
-	buf.may, err = QueryMayBroadcast(plan, req.Points, req.T, buf.may[:0])
-	for off := 0; err == nil && off < len(buf.may); off += chunk {
-		if !emit(buf.may[off:min(off+chunk, len(buf.may))]) {
 			break
 		}
 	}

@@ -65,29 +65,31 @@ func (binCodec) writeErr(w http.ResponseWriter, status int, msg string) {
 	writeBuffered(w, status, BinaryContentType, e)
 }
 
-// writeBatch streams the head frame, chunk frames and End. The engine
-// and encode phases interleave chunk by chunk, so the whole stream
-// counts toward the engine phase and no encode phase is entered.
+// writeBatch streams the head frame, chunk frames and End. Both
+// endpoints run the same slot walk; a may chunk packs its flags from
+// the slot run. The engine and encode phases interleave chunk by chunk,
+// so the whole stream counts toward the engine phase and no encode
+// phase is entered.
 func (binCodec) writeBatch(w http.ResponseWriter, plan *core.Plan, req BinBatch, total int, buf *queryBuf, _ *reqTrace) error {
 	e := binwire.Get()
 	defer binwire.Put(e)
 	st := binStream{w: w, e: e}
 	w.Header().Set("Content-Type", BinaryContentType)
-	var err error
+	var emit func([]int32) bool
 	if req.Kind == binwire.FrameBatchMay {
 		e.BeginFrame(binwire.FrameMayHead)
 		e.Uvarint(uint64(plan.Slots()))
 		e.Varint(req.T)
-		e.Uvarint(uint64(total))
-		e.EndFrame()
-		err = answerMay(plan, &req, binChunkPoints, buf, st.emitMayChunk)
+		active := slotAt(plan.Slots(), req.T)
+		emit = func(slots []int32) bool { return st.emitMayChunk(slots, active) }
 	} else {
 		e.BeginFrame(binwire.FrameSlotsHead)
 		e.Uvarint(uint64(plan.Slots()))
-		e.Uvarint(uint64(total))
-		e.EndFrame()
-		err = answerSlots(plan, &req, binChunkPoints, buf, st.emitSlotsChunk)
+		emit = st.emitSlotsChunk
 	}
+	e.Uvarint(uint64(total))
+	e.EndFrame()
+	err := answerSlots(plan, &req, binChunkPoints, buf, emit)
 	switch {
 	case err == nil:
 		e.BeginFrame(binwire.FrameEnd)
@@ -156,13 +158,13 @@ func (st *binStream) emitSlotsChunk(slots []int32) bool {
 }
 
 // emitMayChunk appends one bit-packed may chunk frame (LSB-first,
-// eight flags per byte).
-func (st *binStream) emitMayChunk(flags []bool) bool {
+// eight flags per byte): flag i is slots[i] == active.
+func (st *binStream) emitMayChunk(slots []int32, active int32) bool {
 	st.e.BeginFrame(binwire.FrameMayChunk)
-	st.e.Uvarint(uint64(len(flags)))
+	st.e.Uvarint(uint64(len(slots)))
 	var b byte
-	for i, f := range flags {
-		if f {
+	for i, s := range slots {
+		if s == active {
 			b |= 1 << (i % 8)
 		}
 		if i%8 == 7 {
@@ -170,7 +172,7 @@ func (st *binStream) emitMayChunk(flags []bool) bool {
 			b = 0
 		}
 	}
-	if len(flags)%8 != 0 {
+	if len(slots)%8 != 0 {
 		st.e.Byte(b)
 	}
 	st.e.EndFrame()

@@ -3,10 +3,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"tilingsched/internal/core"
+	"tilingsched/internal/intmat"
 	"tilingsched/internal/lattice"
 	"tilingsched/internal/prototile"
 )
@@ -112,30 +117,112 @@ func TestServerSlotsBatchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerMayBroadcastEndpoint checks every may-broadcast answer the
+// server gives, in both codecs, against the reference engine
+// (QueryMayBroadcast, QueryWindowMayBroadcast): the three perfbench
+// plans, tetromino:T and the non-cyclic 2Z×2Z period; an explicit batch
+// of a size that is not a multiple of 8, a small window and one larger
+// than a binary chunk frame; and times around the period and at the
+// int64 extremes.
 func TestServerMayBroadcastEndpoint(t *testing.T) {
-	srv := newTestServer(t, ServerOptions{})
-	plan := mustPlan(t, prototile.Cross(2, 1))
-	pts := [][]int{{3, 4}, {0, 0}, {2, -1}}
-	const tm = int64(7)
-	resp, body := postJSON(t, srv, "/v1/maybroadcast:batch",
-		BatchRequest{Plan: PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}, Points: pts, T: tm})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var mr MayResponse
-	if err := json.Unmarshal(body, &mr); err != nil {
+	reg := NewRegistry(8)
+	srv := httptest.NewServer(NewServer(reg, ServerOptions{}))
+	t.Cleanup(srv.Close)
+	period, err := core.NewPlanWithPeriod(lattice.Square(), prototile.Rect(2, 2), intmat.MustFromRows([][]int64{{2, 0}, {0, 2}}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mr.M != 5 || mr.T != tm || len(mr.May) != len(pts) {
-		t.Fatalf("reply %+v, want m=5 t=%d %d bits", mr, tm, len(pts))
+	// Cached under its signature, the 2Z×2Z plan is what rect:2:2 specs
+	// resolve to, not the cyclic period NewPlan would find.
+	if _, err := reg.Get(period.Signature(), func() (*core.Plan, error) { return period, nil }); err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range pts {
-		want, err := plan.MayBroadcast(lattice.Pt(c...), tm)
+	plans := []struct {
+		name string
+		spec PlanSpec
+	}{
+		{"cross-2-1", PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}},
+		{"hex-ball-1", PlanSpec{Lattice: "hexagonal", Tile: TileSpec{Name: "ball:1"}}},
+		{"cubic-cross-3-1", PlanSpec{Lattice: "cubic:3", Tile: TileSpec{Name: "cross:3:1"}}},
+		{"tetromino-T", PlanSpec{Tile: TileSpec{Name: "tetromino:T"}}},
+		{"rect-2-2-period-2Zx2Z", PlanSpec{Tile: TileSpec{Name: "rect:2:2"}}},
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, pl := range plans {
+		plan, err := reg.GetSpec(pl.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mr.May[i] != want {
-			t.Errorf("may(%v, %d) = %v, want %v", c, tm, mr.May[i], want)
+		dim, m := plan.Tile().Dim(), int64(plan.Slots())
+		pts := make([]lattice.Point, 1021)
+		for i := range pts {
+			pts[i] = make(lattice.Point, dim)
+			for a := range pts[i] {
+				pts[i][a] = rng.IntN(2001) - 1000
+			}
+		}
+		// The large window spans two binary chunk frames.
+		small, large := lattice.CenteredWindow(dim, 5), lattice.CenteredWindow(dim, 65)
+		if dim == 3 {
+			small, large = lattice.CenteredWindow(dim, 2), lattice.CenteredWindow(dim, 13)
+		}
+		if large.Size() <= binChunkPoints {
+			t.Fatalf("%s: window of %d points fits one chunk", pl.name, large.Size())
+		}
+		queries := []struct {
+			name string
+			pts  []lattice.Point
+			win  *lattice.Window
+		}{{"points", pts, nil}, {"window", nil, &small}, {"multichunk", nil, &large}}
+		for _, q := range queries {
+			for _, bin := range []bool{false, true} {
+				name := pl.name + "/" + q.name + "/json"
+				if bin {
+					name = pl.name + "/" + q.name + "/bin"
+				}
+				t.Run(name, func(t *testing.T) {
+					for _, tm := range []int64{-1, 0, m - 1, m, 12345, math.MinInt64, math.MaxInt64} {
+						req := BatchRequest{Plan: pl.spec, T: tm}
+						var want []bool
+						if q.win != nil {
+							req.Window = &WindowSpec{Lo: q.win.Lo, Hi: q.win.Hi}
+							want, err = QueryWindowMayBroadcast(plan, *q.win, tm, nil)
+						} else {
+							for _, p := range q.pts {
+								req.Points = append(req.Points, p)
+							}
+							want, err = QueryMayBroadcast(plan, q.pts, tm, nil)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						var got MayResponse
+						if bin {
+							resp, body := postBin(t, srv, "/v1/maybroadcast:batch", encodeBatch(req, true, ""))
+							if resp.StatusCode != http.StatusOK {
+								t.Fatalf("t=%d: status %d: %q", tm, resp.StatusCode, body)
+							}
+							if got, err = DecodeMayStream(body); err != nil {
+								t.Fatalf("t=%d: %v", tm, err)
+							}
+						} else {
+							resp, body := postJSON(t, srv, "/v1/maybroadcast:batch", req)
+							if resp.StatusCode != http.StatusOK {
+								t.Fatalf("t=%d: status %d: %s", tm, resp.StatusCode, body)
+							}
+							if err := json.Unmarshal(body, &got); err != nil {
+								t.Fatalf("t=%d: %v", tm, err)
+							}
+						}
+						if got.M != plan.Slots() || got.T != tm {
+							t.Fatalf("t=%d: reply m=%d t=%d, want m=%d", tm, got.M, got.T, plan.Slots())
+						}
+						if !slices.Equal(got.May, want) {
+							t.Fatalf("t=%d: %d flags differ from the reference engine's %d", tm, len(got.May), len(want))
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -251,14 +338,24 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 			t.Errorf("appendSlotsJSON(%+v) = %q, want %q", r, got, want)
 		}
 	}
-	for _, r := range []MayResponse{
-		{M: 5},
-		{M: 5, T: -1, May: []bool{}},
-		{M: 3, T: 1<<63 - 1, May: []bool{true}},
-		{M: 25, T: -1 << 63, May: []bool{false, true, true, false}},
+	// A may answer is encoded from its slot run: flag i is
+	// slots[i] == t mod m.
+	for _, c := range []struct {
+		m     int
+		t     int64
+		slots []int32
+		may   []bool
+	}{
+		{m: 5},
+		{m: 5, t: -1, slots: []int32{}, may: []bool{}},
+		{m: 3, t: 1<<63 - 1, slots: []int32{1}, may: []bool{true}}, // (2^63 − 1) mod 3 = 1
+		{m: 3, t: 1<<63 - 1, slots: []int32{0, 2}, may: []bool{false, false}},
+		{m: 25, t: -1 << 63, slots: []int32{0, 17, 17, 24}, may: []bool{false, true, true, false}}, // −2^63 mod 25 = 17
+		{m: 5, t: -1, slots: []int32{4, 0, 4, 3, 4, 4, 4, 4, 1}, may: []bool{true, false, true, false, true, true, true, true, false}},
 	} {
-		if got, want := appendMayJSON([]byte("prefix"), r), append([]byte("prefix"), encode(r)...); !bytes.Equal(got, want) {
-			t.Errorf("appendMayJSON(%+v) = %q, want %q", r, got, want)
+		r := MayResponse{M: c.m, T: c.t, May: c.may}
+		if got, want := appendMayJSON([]byte("prefix"), c.m, c.t, c.slots), append([]byte("prefix"), encode(r)...); !bytes.Equal(got, want) {
+			t.Errorf("appendMayJSON(%d, %d, %v) = %q, want %q", c.m, c.t, c.slots, got, want)
 		}
 	}
 }
@@ -267,9 +364,10 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 var raceEnabled bool
 
 // TestJSONBatchAllocs bounds the allocations of a 1,024-point JSON
-// slots batch through ServeHTTP, request and recorder included: the
-// canonical scan fills the pooled arena and the answer is appended, so
-// the count no longer grows with the batch (encoding/json made ~2,400).
+// slots or may-broadcast batch through ServeHTTP, request and recorder
+// included: the canonical scan fills the pooled arena and the answer is
+// appended, so the count no longer grows with the batch (encoding/json
+// made ~2,400).
 func TestJSONBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector, sync.Pool drops pooled buffers at random")
@@ -279,19 +377,21 @@ func TestJSONBatchAllocs(t *testing.T) {
 	for i := range points {
 		points[i] = []int{i*7%2001 - 1000, i*13%2001 - 1000}
 	}
-	body, err := json.Marshal(BatchRequest{Plan: PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}, Points: points})
+	body, err := json.Marshal(BatchRequest{Plan: PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}, Points: points, T: 12345})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := func() {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/slots:batch", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	for _, path := range []string{"/v1/slots:batch", "/v1/maybroadcast:batch"} {
+		serve := func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+			}
 		}
-	}
-	serve()
-	if n := testing.AllocsPerRun(20, serve); n > 60 {
-		t.Errorf("1,024-point JSON batch allocates %.0f per request, want ≤ 60", n)
+		serve()
+		if n := testing.AllocsPerRun(20, serve); n > 60 {
+			t.Errorf("%s: 1,024-point JSON batch allocates %.0f per request, want ≤ 60", path, n)
+		}
 	}
 }

@@ -49,26 +49,12 @@ type StatuszSession struct {
 	LagTimeNsMax int64  `json:"lag_time_ns_max"`
 }
 
-// StatuszPlan is one cached plan's row on /statusz: its signature and
-// the certificate its served slot function passed.
-type StatuszPlan struct {
-	// Signature is the plan's canonical signature (core.Signature).
-	Signature string `json:"signature"`
-	// CertChecks is the number of checks the plan's collision-freedom
-	// proof ran before the plan was cached (core.Plan.CertChecks).
-	CertChecks int `json:"cert_checks"`
-}
-
 // StatuszResponse is the JSON body of GET /statusz.
 type StatuszResponse struct {
 	// Now is the collection wall-clock time.
 	Now time.Time `json:"now"`
 	// Plans is the number of cached compiled plans.
 	Plans int `json:"plans"`
-	// PlanCerts lists every cached plan with its certificate, most
-	// recently used first. Every cached plan has passed one: a plan that
-	// fails is never cached.
-	PlanCerts []StatuszPlan `json:"plan_certs"`
 	// SubscribersLive is the number of open subscription streams (the
 	// latticed_subscribers_live gauge).
 	SubscribersLive int64 `json:"subscribers_live"`
@@ -184,15 +170,9 @@ func watermarksI(v []int64) (lo, mid, hi int64) {
 // HTTP framing.
 func (s *Server) Statusz() StatuszResponse {
 	rows, epochs, times := s.statuszCollect()
-	plans := s.reg.Plans()
-	certs := make([]StatuszPlan, len(plans))
-	for i, p := range plans {
-		certs[i] = StatuszPlan{Signature: p.Signature(), CertChecks: p.CertChecks()}
-	}
 	resp := StatuszResponse{
 		Now:                  time.Now(),
-		Plans:                len(plans),
-		PlanCerts:            certs,
+		Plans:                s.reg.Len(),
 		SubscribersLive:      s.met.subsLive.Load(),
 		Sessions:             rows,
 		PropagationExemplars: s.met.exemplars(),
@@ -241,14 +221,6 @@ func (s *Server) HandleStatusz(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, " <code>%s</code>@%d (%s)", html.EscapeString(ex.TraceID), ex.Epoch, time.Duration(ex.LatencyNs))
 		}
 		b.WriteString("</p>")
-	}
-	if len(resp.PlanCerts) > 0 {
-		b.WriteString("<table border=\"1\" cellpadding=\"4\"><tr><th>plan</th><th>certificate checks</th></tr>")
-		for _, p := range resp.PlanCerts {
-			fmt.Fprintf(&b, "<tr><td><code>%s</code></td><td>%d</td></tr>",
-				html.EscapeString(p.Signature), p.CertChecks)
-		}
-		b.WriteString("</table>")
 	}
 	b.WriteString("<table border=\"1\" cellpadding=\"4\"><tr><th>session</th><th>epoch</th><th>subs</th>" +
 		"<th>queue max/sum</th><th>WAL bytes/events</th><th>lag epochs min/p50/max</th><th>lag time min/p50/max</th></tr>")

@@ -391,82 +391,58 @@ func (s *Server) Subscribe(spec PlanSpec, ws WindowSpec, epoch *uint64) (*Subscr
 // subscriber, and computes the catch-up deltas for the client's epoch:
 // none when current, per-epoch WAL replays when the persisted log
 // covers the gap, one full resync delta otherwise (unknown or future
-// epoch, no persistence, gap not covered). On failure the returned
-// status is the HTTP answer (503 when the session's subscriber cap is
-// reached, 500 on a session-table failure).
+// epoch, no persistence, gap not covered). The attach and the hello's
+// epoch and live count are taken under the session lock, so the feed
+// misses no epoch; for a subscriber that is not current, so is a copy
+// of the live set. The WAL read and the resync are built from that copy
+// after unlocking, so the session's mutates never wait on them. On
+// failure the returned status is the HTTP answer (503 when the
+// session's subscriber cap is reached, 500 on a session-table failure).
 func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch bool, epoch uint64) (*Subscription, int, error) {
-	maxSubs := s.opts.MaxSubscribers
-	queue := s.opts.SubscribeQueue
-	for {
-		sess, err := s.sessions.lock(plan, win)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
+	sess, err := s.sessions.lock(plan, win)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	feed := &Subscription{sess: sess, srv: s}
+	sub := &feed.sub
+	sub.ch = make(chan *Delta, s.opts.SubscribeQueue)
+	sub.seq = s.subSeq.Add(1)
+	if !sess.hub.attach(sub, s.opts.MaxSubscribers) {
+		sess.mu.Unlock()
+		return nil, http.StatusServiceUnavailable,
+			fmt.Errorf("session has %d subscribers (limit): retry or raise MaxSubscribers", s.opts.MaxSubscribers)
+	}
+	cur := sess.epoch
+	sub.lastEpoch.Store(cur)
+	feed.Hello = SubscribeHello{Signature: plan.Signature(), Epoch: cur,
+		M: plan.Slots(), Alive: sess.live.alive}
+	feed.C = sub.ch
+	var live *liveSet // the live set at cur, for a subscriber that is not current
+	if !hasEpoch || epoch != cur {
+		live = sess.live.clone()
+	}
+	// A stale epoch with a persisted history may be caught up from the WAL.
+	logged := hasEpoch && epoch < cur && sess.disk != nil
+	sess.mu.Unlock()
+	if live != nil {
+		var ok bool
+		if logged {
+			feed.Catch, ok = s.sessions.store.catchUp(plan, win, epoch, cur)
 		}
-		feed := &Subscription{sess: sess, srv: s}
-		sub := &feed.sub
-		sub.ch = make(chan *Delta, queue)
-		sub.seq = s.subSeq.Add(1)
-		if !sess.hub.attach(sub, maxSubs) {
-			sess.mu.Unlock()
-			return nil, http.StatusServiceUnavailable,
-				fmt.Errorf("session has %d subscribers (limit): retry or raise MaxSubscribers", maxSubs)
-		}
-		cur := sess.epoch
-		sub.lastEpoch.Store(cur)
-		feed.Hello = SubscribeHello{Signature: plan.Signature(), Epoch: cur,
-			M: plan.Slots(), Alive: sess.live.alive}
-		feed.C = sub.ch
-		needWAL := false
-		switch {
-		case hasEpoch && epoch == cur:
-			// Current: the stream resumes with the next published delta.
-		case hasEpoch && epoch < cur && sess.disk != nil:
-			// Stale with a persisted history: try the WAL outside the
-			// session lock (reading files under it would stall mutators).
-			needWAL = true
-		default:
-			// Unknown base (no epoch, future epoch, or no persisted
-			// history): full resync, captured under the lock so it is
-			// exactly the assignment at cur.
-			feed.Catch = []*Delta{fullDeltaLocked(sess)}
+		if ok {
+			s.met.subCatchups.Inc()
+		} else {
+			// Unknown base (no epoch, future epoch, no persisted
+			// history) or a gap the log does not cover (snapshot past
+			// the client's epoch, torn tail): a full resync at cur.
+			feed.Catch = []*Delta{{Epoch: cur, M: plan.Slots(), Alive: live.alive, Full: true,
+				Changed: live.appendAssignment(make([]ChangeSpec, 0, live.alive), plan)}}
 			s.met.subResyncs.Inc()
 		}
-		sess.mu.Unlock()
-		if needWAL {
-			deltas, ok := s.sessions.store.catchUp(plan, win, epoch, cur)
-			if ok {
-				feed.Catch = deltas
-				s.met.subCatchups.Inc()
-			} else {
-				// Gap not covered (snapshot past the client's epoch, torn
-				// tail, rotated log): fall back to a full resync. The
-				// session may have moved on — or been evicted — since the
-				// attach; re-take the lock and re-stamp the hello.
-				sess.mu.Lock()
-				if sess.gone {
-					sess.mu.Unlock()
-					sess.hub.detach(sub)
-					continue
-				}
-				feed.Hello.Epoch = sess.epoch
-				sub.lastEpoch.Store(sess.epoch)
-				feed.Hello.Alive = sess.live.alive
-				feed.Catch = []*Delta{fullDeltaLocked(sess)}
-				sess.mu.Unlock()
-				s.met.subResyncs.Inc()
-			}
-		}
-		s.met.subsTotal.Inc()
-		s.met.subsLive.Add(1)
-		return feed, http.StatusOK, nil
 	}
-}
-
-// fullDeltaLocked captures a resync delta — the complete live
-// assignment at the session's current epoch. Caller holds sess.mu.
-func fullDeltaLocked(sess *dynSession) *Delta {
-	return &Delta{Epoch: sess.epoch, M: sess.plan.Slots(), Alive: sess.live.alive, Full: true,
-		Changed: sess.live.appendAssignment(make([]ChangeSpec, 0, sess.live.alive), sess.plan)}
+	s.met.subsTotal.Inc()
+	s.met.subsLive.Add(1)
+	return feed, http.StatusOK, nil
 }
 
 // handleSubscribe opens a push stream in either codec: decode the
@@ -564,11 +540,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, c codec
 			if !open {
 				send(func(e *binwire.Buffer) { c.bye(e, last, feed.Reason()) })
 				return
-			}
-			// Skip deltas the catch-up already covered (published while
-			// the WAL fallback re-snapshotted at a later epoch).
-			if !d.Full && d.Epoch <= last {
-				continue
 			}
 			if !deliver(d) {
 				return

@@ -422,16 +422,13 @@ func TestStatuszWatermarks(t *testing.T) {
 	if len(wire.Sessions) != 1 || wire.Sessions[0].Epoch != epochs {
 		t.Fatalf("wire statusz %+v", wire)
 	}
-	if len(wire.PlanCerts) != 1 || wire.PlanCerts[0].CertChecks == 0 {
-		t.Fatalf("wire statusz plan certificates %+v, want the one cached plan's", wire.PlanCerts)
-	}
 	rec = httptest.NewRecorder()
 	s.HandleStatusz(rec, httptest.NewRequest("GET", "/statusz?format=html", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Fatalf("html content type %q", ct)
 	}
-	if !strings.Contains(rec.Body.String(), "<table") || !strings.Contains(rec.Body.String(), "certificate checks") {
-		t.Fatal("html statusz has no session or plan-certificate table")
+	if !strings.Contains(rec.Body.String(), "<table") {
+		t.Fatal("html statusz has no table")
 	}
 
 	// /debug/traces serves the ring as JSON.

@@ -77,12 +77,13 @@ func NewPeriodicTiling(t *prototile.Tile, period *intmat.Matrix, offsets []latti
 // FindPeriodicTiling searches for a periodic tiling with at most
 // maxCosets coset translates (k = 1 recovers the lattice-tiling search).
 // The search runs exact cover over the quotient group Z^d / P for every
-// sublattice P of index k·|N|: the smallest uncovered residue is covered
-// by each candidate translate in turn.
+// sublattice P of index k·|N|, generated lazily in
+// intmat.SublatticesOfIndex order: the smallest uncovered residue is
+// covered by each candidate translate in turn.
 func FindPeriodicTiling(t *prototile.Tile, maxCosets int) (*PeriodicTiling, bool) {
 	for k := 1; k <= maxCosets; k++ {
 		index := int64(k) * int64(t.Size())
-		for _, h := range intmat.SublatticesOfIndex(t.Dim(), index) {
+		for h := range intmat.SublatticesOfIndex(t.Dim(), index) {
 			if pt, ok := solveQuotientCover(t, h, k); ok {
 				return pt, true
 			}

@@ -54,42 +54,49 @@ func NewLatticeTiling(t *prototile.Tile, period *intmat.Matrix) (*LatticeTiling,
 	if !intmat.IsSquareFullRankHNF(h) {
 		return nil, fmt.Errorf("%w: period basis is singular", ErrTiling)
 	}
-	return newLatticeTiling(t, t.Points(), h)
+	pts := t.Points()
+	lt, pair, err := newLatticeTiling(t, pts, h)
+	if err == nil && lt == nil {
+		err = fmt.Errorf("%w: tile points %v and %v are congruent mod T", ErrTiling, pts[pair[0]], pts[pair[1]])
+	}
+	return lt, err
 }
 
 // newLatticeTiling is NewLatticeTiling for a period already in HNF, with
 // the tile's points, pts, passed in: the sublattice searches below call
-// it once per candidate and copy the points once.
-func newLatticeTiling(t *prototile.Tile, pts []lattice.Point, h *intmat.Matrix) (*LatticeTiling, error) {
+// it once per candidate and copy the points once. When two tile points
+// are congruent mod T it returns no tiling, their indexes and no error,
+// so a search formats nothing for the many candidates it rejects.
+func newLatticeTiling(t *prototile.Tile, pts []lattice.Point, h *intmat.Matrix) (*LatticeTiling, [2]int, error) {
 	ct, err := newCosetTable(h)
 	if err != nil {
-		return nil, err
+		return nil, [2]int{}, err
 	}
 	if ct.size() != t.Size() {
-		return nil, fmt.Errorf("%w: sublattice index %d ≠ |N| = %d", ErrTiling, ct.size(), t.Size())
+		return nil, [2]int{}, fmt.Errorf("%w: sublattice index %d ≠ |N| = %d", ErrTiling, ct.size(), t.Size())
 	}
 	for i, p := range pts {
 		prev, dup, err := ct.assign(p, i)
 		if err != nil {
-			return nil, err
+			return nil, [2]int{}, err
 		}
 		if dup {
-			return nil, fmt.Errorf("%w: tile points %v and %v are congruent mod T",
-				ErrTiling, pts[prev], p)
+			return nil, [2]int{prev, i}, nil
 		}
 	}
-	return &LatticeTiling{tile: t, period: h, ct: ct}, nil
+	return &LatticeTiling{tile: t, period: h, ct: ct}, [2]int{}, nil
 }
 
 // FindLatticeTiling searches for a sublattice T of index |N| that makes
 // the prototile a transversal, answering the paper's question Q1
-// constructively for lattice-periodic tilings. The search enumerates every
-// sublattice of Z^d of index |N| in Hermite normal form; the first
-// transversal hit is returned.
+// constructively for lattice-periodic tilings. The search walks the
+// sublattices of Z^d of index |N| in Hermite normal form, in
+// intmat.SublatticesOfIndex order, generating each only when it is
+// tried; the first transversal hit is returned.
 func FindLatticeTiling(t *prototile.Tile) (*LatticeTiling, bool) {
 	pts := t.Points()
-	for _, h := range intmat.SublatticesOfIndex(t.Dim(), int64(t.Size())) {
-		if lt, err := newLatticeTiling(t, pts, h); err == nil {
+	for h := range intmat.SublatticesOfIndex(t.Dim(), int64(t.Size())) {
+		if lt, _, _ := newLatticeTiling(t, pts, h); lt != nil {
 			return lt, true
 		}
 	}
@@ -102,8 +109,8 @@ func FindLatticeTiling(t *prototile.Tile) (*LatticeTiling, bool) {
 func AllLatticeTilings(t *prototile.Tile) []*LatticeTiling {
 	var out []*LatticeTiling
 	pts := t.Points()
-	for _, h := range intmat.SublatticesOfIndex(t.Dim(), int64(t.Size())) {
-		if lt, err := newLatticeTiling(t, pts, h); err == nil {
+	for h := range intmat.SublatticesOfIndex(t.Dim(), int64(t.Size())) {
+		if lt, _, _ := newLatticeTiling(t, pts, h); lt != nil {
 			out = append(out, lt)
 		}
 	}

@@ -1,7 +1,9 @@
 package tiling
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tilingsched/internal/boundary"
@@ -38,8 +40,10 @@ func TestNewLatticeTilingRejectsNonTransversal(t *testing.T) {
 	// so that IS a transversal. Use ⟨(1,0),(0,2)⟩ instead: (0,0) and
 	// (1,0) differ by (1,0) ∈ L.
 	d := prototile.MustNew("domino", lattice.Pt(0, 0), lattice.Pt(1, 0))
-	if _, err := NewLatticeTiling(d, intmat.MustFromRows([][]int64{{1, 0}, {0, 2}})); err == nil {
-		t.Error("non-transversal accepted")
+	_, err := NewLatticeTiling(d, intmat.MustFromRows([][]int64{{1, 0}, {0, 2}}))
+	const want = "tiling: invalid tiling: tile points (0, 0) and (1, 0) are congruent mod T"
+	if err == nil || !errors.Is(err, ErrTiling) || err.Error() != want {
+		t.Errorf("non-transversal: error %v, want %q", err, want)
 	}
 	if _, err := NewLatticeTiling(d, intmat.MustFromRows([][]int64{{2, 0}, {0, 1}})); err != nil {
 		t.Errorf("valid domino tiling rejected: %v", err)
@@ -244,5 +248,34 @@ func Test3DTiling(t *testing.T) {
 	}
 	if err := lt.VerifyWindow(lattice.CenteredWindow(3, 3)); err != nil {
 		t.Errorf("VerifyWindow: %v", err)
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestFindLatticeTilingMemory bounds the bytes the search allocates for
+// the 4-D Chebyshev ball, 81 points, whose hit is the 20,440th of the
+// 925,771 sublattices of index 81: candidates are generated one at a
+// time and rejected without an error value, so the search allocates
+// about 24 MB, where listing every candidate first took about 235 MB.
+func TestFindLatticeTilingMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations distort the count")
+	}
+	tile := prototile.ChebyshevBall(4, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lt, ok := FindLatticeTiling(tile)
+	runtime.ReadMemStats(&after)
+	if !ok {
+		t.Fatal("no lattice tiling found")
+	}
+	want := intmat.MustFromRows([][]int64{{1, 0, 0, 3}, {0, 1, 0, 9}, {0, 0, 1, 27}, {0, 0, 0, 81}})
+	if !lt.Period().Equal(want) {
+		t.Errorf("period %s, want %s", lt.Period(), want)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+		t.Errorf("FindLatticeTiling(%s) allocated %d MB, want ≤ 64 MB", tile.Name(), n>>20)
 	}
 }
