@@ -195,8 +195,8 @@ func (p *Plan) Optimality(w lattice.Window, nodeBudget int) (OptimalityReport, e
 // ExplainExactness reports whether the prototile is exact together with
 // the strongest evidence available: for simply connected polyominoes in
 // dimension 2, the Beauquier–Nivat boundary criterion (with the
-// factorization as a certificate); otherwise the sublattice-transversal
-// search.
+// factorization as a certificate); otherwise one periodic-tiling search,
+// whose one-coset pass is the sublattice-transversal search.
 func ExplainExactness(tile *prototile.Tile) (exact bool, evidence string, err error) {
 	if tile.Dim() == 2 {
 		if simply, serr := tile.SimplyConnected(); serr == nil && simply {
@@ -210,15 +210,15 @@ func ExplainExactness(tile *prototile.Tile) (exact bool, evidence string, err er
 			return false, "boundary word admits no Beauquier–Nivat factorization", nil
 		}
 	}
-	if lt, ok := tiling.FindLatticeTiling(tile); ok {
-		return true, fmt.Sprintf("lattice tiling with period %s", lt.Period()), nil
-	}
 	// Some clusters tile only with non-lattice translate sets (unions of
-	// cosets); search small coset counts before giving up.
+	// cosets); the search tries one coset, a lattice tiling, first.
 	const maxCosets = 4
 	if pt, ok := tiling.FindPeriodicTiling(tile, maxCosets); ok {
-		return true, fmt.Sprintf("periodic tiling with period %s and %d coset translates %v",
-			pt.Period(), len(pt.Offsets()), pt.Offsets()), nil
+		if offs := pt.Offsets(); len(offs) > 1 {
+			return true, fmt.Sprintf("periodic tiling with period %s and %d coset translates %v",
+				pt.Period(), len(offs), offs), nil
+		}
+		return true, fmt.Sprintf("lattice tiling with period %s", pt.Period()), nil
 	}
 	return false, fmt.Sprintf("no periodic tiling with ≤ %d cosets of any index-%d·k sublattice",
 		maxCosets, tile.Size()), nil

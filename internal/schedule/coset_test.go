@@ -9,47 +9,20 @@ import (
 )
 
 func TestCosetScheduleOverPeriodicTiling(t *testing.T) {
-	// The Theorem 1 schedule generalizes to non-lattice periodic
-	// tilings: the gap cluster {0, 2} gets a 2-slot collision-free
-	// schedule via T = {0, 1} + 4Z.
+	// The Theorem 1 schedule serves non-lattice periodic tilings too: the
+	// gap cluster {0, 2} gets a 2-slot collision-free schedule via
+	// T = {0, 1} + 4Z.
 	gap := prototile.MustNew("gap", lattice.Pt(0), lattice.Pt(2))
 	pt, ok := tiling.FindPeriodicTiling(gap, 3)
 	if !ok {
 		t.Fatal("no periodic tiling for the gap cluster")
 	}
-	s := FromCosetTiling(pt)
+	s := FromLatticeTiling(pt)
 	if s.Slots() != 2 {
 		t.Errorf("slots = %d, want 2", s.Slots())
 	}
 	if err := VerifyCollisionFree(s, s.Deployment(), lattice.CenteredWindow(1, 15)); err != nil {
 		t.Errorf("periodic-tiling schedule collides: %v", err)
-	}
-}
-
-func TestCosetScheduleMatchesTheorem1(t *testing.T) {
-	// Over a plain lattice tiling, FromCosetTiling and FromLatticeTiling
-	// agree slot for slot.
-	lt, ok := tiling.FindLatticeTiling(prototile.Cross(2, 1))
-	if !ok {
-		t.Fatal("no tiling for cross")
-	}
-	a := FromLatticeTiling(lt)
-	b := FromCosetTiling(lt)
-	if a.Slots() != b.Slots() {
-		t.Fatalf("slot counts differ: %d vs %d", a.Slots(), b.Slots())
-	}
-	for _, p := range lattice.CenteredWindow(2, 4).Points() {
-		ka, err := a.SlotOf(p)
-		if err != nil {
-			t.Fatalf("SlotOf: %v", err)
-		}
-		kb, err := b.SlotOf(p)
-		if err != nil {
-			t.Fatalf("SlotOf: %v", err)
-		}
-		if ka != kb {
-			t.Fatalf("slots differ at %v: %d vs %d", p, ka, kb)
-		}
 	}
 }
 
@@ -60,7 +33,7 @@ func TestCosetScheduleOptimalFor2DGap(t *testing.T) {
 	if !ok {
 		t.Fatal("no periodic tiling")
 	}
-	s := FromCosetTiling(pt)
+	s := FromLatticeTiling(pt)
 	if s.Slots() != 2 {
 		t.Errorf("slots = %d, want 2", s.Slots())
 	}

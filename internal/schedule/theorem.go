@@ -5,19 +5,21 @@ import (
 	"sort"
 
 	"tilingsched/internal/lattice"
-	"tilingsched/internal/prototile"
 	"tilingsched/internal/tiling"
 )
 
 // Theorem1 is the schedule of the paper's Theorem 1: given a tiling T of
 // the lattice with neighborhoods N = {n_1..n_m}, the sensors at n_k + T
 // broadcast in slot k. It uses m = |N| slots, is collision-free, and is
-// optimal (no collision-free periodic schedule uses fewer slots).
+// optimal (no collision-free periodic schedule uses fewer slots). T may
+// be a sublattice or a union of cosets of one — e.g. T = {0, 1} + 4Z for
+// the cluster {0, 2} ⊂ Z, which admits no lattice tiling.
 type Theorem1 struct {
 	lt *tiling.LatticeTiling
 }
 
-// FromLatticeTiling builds the Theorem 1 schedule.
+// FromLatticeTiling builds the Theorem 1 schedule over a lattice tiling
+// or, the same type, any periodic tiling.
 func FromLatticeTiling(lt *tiling.LatticeTiling) *Theorem1 {
 	return &Theorem1{lt: lt}
 }
@@ -44,35 +46,6 @@ func (s *Theorem1) Deployment() *Homogeneous {
 // in both (n' + N) and (n” + N) — the sensors at N form a conflict
 // clique.
 func (s *Theorem1) LowerBound() int { return s.lt.Tile().Size() }
-
-// CosetTiling abstracts the tilings that induce a Theorem 1 schedule: any
-// structure assigning every lattice point the index of the unique tile
-// element covering it (both tiling.LatticeTiling and
-// tiling.PeriodicTiling qualify).
-type CosetTiling interface {
-	Tile() *prototile.Tile
-	CosetIndex(p lattice.Point) (int, error)
-}
-
-// CosetSchedule is the Theorem 1 schedule over any CosetTiling — in
-// particular over generalized periodic tilings of clusters that admit no
-// lattice tiling (e.g. {0, 2} ⊂ Z with T = {0, 1} + 4Z).
-type CosetSchedule struct {
-	ct CosetTiling
-}
-
-// FromCosetTiling wraps a coset tiling as a schedule.
-func FromCosetTiling(ct CosetTiling) *CosetSchedule { return &CosetSchedule{ct: ct} }
-
-// Slots returns |N|.
-func (s *CosetSchedule) Slots() int { return s.ct.Tile().Size() }
-
-// SlotOf returns the coset index of p.
-func (s *CosetSchedule) SlotOf(p lattice.Point) (int, error) { return s.ct.CosetIndex(p) }
-
-// Deployment returns the homogeneous deployment of the tiling's
-// prototile.
-func (s *CosetSchedule) Deployment() *Homogeneous { return NewHomogeneous(s.ct.Tile()) }
 
 // Theorem2 is the schedule of the paper's Theorem 2 for multi-prototile
 // tilings under deployment D1: with N = ∪_k N_k = {n_1..n_m}, the sensors

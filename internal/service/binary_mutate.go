@@ -130,8 +130,8 @@ func DecodeBinaryMutate(data []byte, lim Limits) (BinMutate, error) {
 			return BinMutate{}, failSpec(&r)
 		}
 		if !inMargin(bound, ev) {
-			return BinMutate{}, fmt.Errorf("%w: event %d outside the window's %d-cell margin",
-				ErrLimit, i, MutateMargin)
+			return BinMutate{}, fmt.Errorf("%w: event %d outside the window's margin %s",
+				ErrLimit, i, bound)
 		}
 		req.Events = append(req.Events, ev)
 	}

@@ -423,8 +423,8 @@ func DecodeMutateRequest(data []byte, lim Limits) (MutateRequest, lattice.Window
 			return MutateRequest{}, lattice.Window{}, nil, fmt.Errorf("event %d: %w", i, err)
 		}
 		if !inMargin(bound, ev) {
-			return MutateRequest{}, lattice.Window{}, nil, fmt.Errorf("%w: event %d outside the window's %d-cell margin",
-				ErrLimit, i, MutateMargin)
+			return MutateRequest{}, lattice.Window{}, nil, fmt.Errorf("%w: event %d outside the window's margin %s",
+				ErrLimit, i, bound)
 		}
 		events[i] = ev
 	}
@@ -437,15 +437,28 @@ func DecodeMutateRequest(data []byte, lim Limits) (MutateRequest, lattice.Window
 // and with it snapshot sizes — regardless of event content.
 const MutateMargin = 32
 
-// growMargin returns win widened by MutateMargin per axis, on fresh
-// corners, with saturating arithmetic: a window corner within
-// MutateMargin of the int extremes clamps instead of wrapping, which
-// would invert the bound and misclassify every event.
+// maxMarginPositions bounds the positions of window ± MutateMargin. A
+// snapshot frame holds one slot per position of the live points'
+// bounding window, so a window whose band would exceed it gets no band:
+// every window in d ≥ 4, cubes above 97³, and 2-D windows with
+// (w + 64)(h + 64) > 2^22.
+const maxMarginPositions = 1 << 22
+
+// growMargin returns the window a session's live points may occupy, on
+// fresh corners: win widened by MutateMargin per axis, or win itself
+// when the widened window would hold more than maxMarginPositions
+// positions. It widens with saturating arithmetic: a window corner
+// within MutateMargin of the int extremes clamps instead of wrapping,
+// which would invert the bound and misclassify every event.
 func growMargin(win lattice.Window) lattice.Window {
 	bound := lattice.Window{Lo: win.Lo.Clone(), Hi: win.Hi.Clone()}
 	for a := range bound.Lo {
 		bound.Lo[a] = satAdd(bound.Lo[a], -MutateMargin)
 		bound.Hi[a] = satAdd(bound.Hi[a], MutateMargin)
+	}
+	if n, err := bound.SizeChecked(); err != nil || n > maxMarginPositions {
+		copy(bound.Lo, win.Lo)
+		copy(bound.Hi, win.Hi)
 	}
 	return bound
 }

@@ -293,8 +293,9 @@ func encodeSnapshot(e *binwire.Buffer, id sessIdent, epoch uint64, sf snapFrame)
 }
 
 // decodeSnapshot parses a snapshot file. Every count is bounded by the
-// bytes left in the payload, so a hostile file cannot size a huge
-// allocation.
+// bytes left in the payload, and the state window must lie inside the
+// identity window's margin (growMargin), so a hostile file cannot size a
+// huge allocation.
 func decodeSnapshot(data []byte) (sessIdent, uint64, snapFrame, error) {
 	fail := func(err error) (sessIdent, uint64, snapFrame, error) { return sessIdent{}, 0, snapFrame{}, err }
 	stream := binwire.NewReader(data)
@@ -326,6 +327,11 @@ func decodeSnapshot(data []byte) (sessIdent, uint64, snapFrame, error) {
 	}
 	if sf.window, err = lattice.NewWindow(lo, hi); err != nil {
 		return fail(fmt.Errorf("%w: state window: %v", binwire.ErrMalformed, err))
+	}
+	// Live points never leave the session window's margin, and a frame
+	// outside it would size this table and every later snapshot's.
+	if bound := growMargin(id.win); !bound.Contains(lo) || !bound.Contains(hi) {
+		return fail(fmt.Errorf("%w: state window %s outside the session's margin %s", binwire.ErrMalformed, sf.window, bound))
 	}
 	size, err := sf.window.SizeChecked()
 	if err != nil {
@@ -575,8 +581,9 @@ func replaceFile(path string, data []byte) (*os.File, error) {
 // and folds it into a live set over ident's window. stale reports state
 // another slot policy wrote: a version-1 file, or a stored slot that is
 // not the plan's. A missing file is an fs.ErrNotExist error, an
-// unreadable or foreign snapshot wraps binwire.ErrMalformed, and any
-// other error is I/O.
+// unreadable or foreign snapshot, or one whose state window leaves the
+// session window's margin, wraps binwire.ErrMalformed, and any other
+// error is I/O.
 func readSnapshot(path string, plan *core.Plan, ident sessIdent) (live *liveSet, epoch uint64, stale bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -642,7 +649,7 @@ func foldWAL(r *binwire.Reader, live *liveSet, epoch *uint64, visit func(touched
 		case rec != *epoch+1:
 			return events, rest, fmt.Errorf("record for epoch %d follows epoch %d", rec, *epoch)
 		case slices.ContainsFunc(evs, func(ev dynamic.Event) bool { return !inMargin(bound, ev) }):
-			return events, rest, fmt.Errorf("epoch %d: event outside the window's %d-cell margin", rec, MutateMargin)
+			return events, rest, fmt.Errorf("epoch %d: event outside the window's margin %s", rec, bound)
 		}
 		d, touched, err := live.apply(evs)
 		if err != nil {

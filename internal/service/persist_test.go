@@ -568,40 +568,69 @@ func TestPersistLostSnapshotResetsWAL(t *testing.T) {
 	}
 }
 
-// TestPersistCorruptSnapshotDropped flips one snapshot byte: the CRC
-// drops it under its own counter (not the torn-tail one), and because
+// TestPersistCorruptSnapshotDropped replaces the epoch-2 snapshot with
+// a corrupt one: a flipped byte, which fails the CRC, or a CRC-valid
+// snapshot whose state window reaches 40 cells past the session window,
+// beyond its MutateMargin, which no mutate could have built. Either is
+// dropped under its own counter (not the torn-tail one), and because
 // the WAL is based past the lost state the session resets to epoch 0
 // instead of replaying the suffix.
 func TestPersistCorruptSnapshotDropped(t *testing.T) {
-	dir := t.TempDir()
-	persistToEpoch3WithSnapshot(t, dir)
-	snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
-	data, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, data []byte) []byte
+	}{
+		{"flipped byte", func(t *testing.T, data []byte) []byte {
+			data[len(data)-1] ^= 0x01
+			return data
+		}},
+		{"frame outside the margin", func(t *testing.T, data []byte) []byte {
+			plan := testPlan(t)
+			w := mustWindow(t, []int{0, 0}, []int{4, 4})
+			live := newLiveSet(w, true)
+			live.set(-1, lattice.Pt(44, 2), true)
+			fw, slots := live.frame(plan)
+			e := binwire.Get()
+			defer binwire.Put(e)
+			encodeSnapshot(e, identOf(plan, w), 2, snapFrame{m: plan.Slots(), window: fw, slots: slots})
+			return bytes.Clone(e.Bytes())
+		}},
 	}
-	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			persistToEpoch3WithSnapshot(t, dir)
+			snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
+			data, err := os.ReadFile(snaps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snaps[0], c.corrupt(t, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2 := newPersistServer(t, dir, ServerOptions{})
-	resync := mutateJSON(t, s2, persistBody(`"full":true`), http.StatusOK)
-	if resync.Epoch != 0 {
-		t.Fatalf("epoch after corrupt snapshot = %d, want 0", resync.Epoch)
-	}
-	var sb strings.Builder
-	if err := s2.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"latticed_snapshots_dropped_total 1",
-		"latticed_wal_resets_total 1",
-		"latticed_wal_torn_tails_total 0",
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, sb.String())
-		}
+			s2 := newPersistServer(t, dir, ServerOptions{})
+			resync := mutateJSON(t, s2, persistBody(`"full":true`), http.StatusOK)
+			if resync.Epoch != 0 {
+				t.Fatalf("epoch after corrupt snapshot = %d, want 0", resync.Epoch)
+			}
+			if slot, ok := changedMap(resync)["44,2"]; ok {
+				t.Fatalf("the snapshot's far point 44,2 is live (slot %d)", slot)
+			}
+			var sb strings.Builder
+			if err := s2.WriteMetrics(&sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				"latticed_snapshots_dropped_total 1",
+				"latticed_wal_resets_total 1",
+				"latticed_wal_torn_tails_total 0",
+			} {
+				if !strings.Contains(sb.String(), want) {
+					t.Fatalf("metrics missing %q:\n%s", want, sb.String())
+				}
+			}
+		})
 	}
 }
 
@@ -677,10 +706,71 @@ func TestMutateMarginEdges(t *testing.T) {
 	}
 }
 
-// hugeSnapshot is a CRC-valid snapshot declaring a (2^20+1)² state
-// window and the matching slot count with no slot bytes behind it — a
-// frame that, decoded by its declared count, would size a 4 TB slot
-// table.
+// TestMutateMarginVolumeBound pins the margin's volume bound on a
+// cross:4:1 session over a one-point window, whose ± MutateMargin band
+// would hold 65⁴ ≈ 17.9 M positions: joins 32 cells out along each axis
+// answer 413 in both codecs, so flushing the session writes a one-point
+// frame instead of one slot per band position.
+func TestMutateMarginVolumeBound(t *testing.T) {
+	s := newPersistServer(t, t.TempDir(), ServerOptions{})
+	plan := PlanSpec{Tile: TileSpec{Name: "cross:4:1"}}
+	win := WindowSpec{Lo: []int{0, 0, 0, 0}, Hi: []int{0, 0, 0, 0}}
+	post := func(ev EventSpec, binary bool) int {
+		req := MutateRequest{Plan: plan, Window: win, Events: []EventSpec{ev}}
+		var hr *http.Request
+		if binary {
+			e := binwire.Get()
+			defer binwire.Put(e)
+			if err := EncodeMutateBinary(e, req, ""); err != nil {
+				t.Fatal(err)
+			}
+			hr = httptest.NewRequest("POST", "/v1/plan:mutate", bytes.NewReader(e.Bytes()))
+			hr.Header.Set("Content-Type", BinaryContentType)
+		} else {
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr = httptest.NewRequest("POST", "/v1/plan:mutate", bytes.NewReader(body))
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, hr)
+		return rec.Code
+	}
+	// Leave and rejoin the window's point, so the session has epochs to
+	// flush.
+	for _, op := range []string{"leave", "join"} {
+		if code := post(EventSpec{Op: op, P: []int{0, 0, 0, 0}}, false); code != http.StatusOK {
+			t.Fatalf("%s of the window point: status %d", op, code)
+		}
+	}
+	for a := 0; a < 4; a++ {
+		for _, d := range []int{-MutateMargin, MutateMargin} {
+			p := []int{0, 0, 0, 0}
+			p[a] = d
+			for _, binary := range []bool{false, true} {
+				if code := post(EventSpec{Op: "join", P: p}, binary); code != http.StatusRequestEntityTooLarge {
+					t.Errorf("join at %v (binary %v): status %d, want 413", p, binary, code)
+				}
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := s.FlushSessions()
+	runtime.ReadMemStats(&after)
+	if n != 1 {
+		t.Fatalf("FlushSessions wrote %d sessions, want 1", n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("FlushSessions allocated %d bytes, want ≤ 1 MB", alloc)
+	}
+}
+
+// hugeSnapshot is a CRC-valid snapshot of a (2^20+1)² session declaring
+// that whole window as its state window, and the matching slot count
+// with no slot bytes behind it — a frame that, decoded by its declared
+// count, would size a 4 TB slot table.
 func hugeSnapshot(t testing.TB) []byte {
 	e := binwire.Get()
 	defer binwire.Put(e)
@@ -688,7 +778,7 @@ func hugeSnapshot(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := lattice.NewWindow(lattice.Pt(0, 0), lattice.Pt(4, 4))
+	w, err := lattice.NewWindow(lattice.Pt(0, 0), lattice.Pt(1<<20, 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,6 +843,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if sf.window.Dim() != id.win.Dim() || len(sf.slots) != sf.window.Size() {
 			t.Fatalf("frame %v with %d slots for a %d-dimensional identity", sf.window, len(sf.slots), id.win.Dim())
+		}
+		if bound := growMargin(id.win); !bound.Contains(sf.window.Lo) || !bound.Contains(sf.window.Hi) {
+			t.Fatalf("frame %v outside the identity window's margin %v", sf.window, bound)
 		}
 	})
 }

@@ -49,18 +49,42 @@ func TestFindPeriodicTiling2DGap(t *testing.T) {
 }
 
 func TestFindPeriodicTilingReducesToLattice(t *testing.T) {
-	// For an exact polyomino, one coset suffices and the result matches
-	// a lattice tiling.
-	s := prototile.MustTetromino("S")
-	pt, ok := FindPeriodicTiling(s, 1)
-	if !ok {
-		t.Fatal("S should tile with one coset")
-	}
-	if len(pt.Offsets()) != 1 {
-		t.Errorf("offsets = %d, want 1", len(pt.Offsets()))
-	}
-	if err := pt.VerifyWindow(lattice.CenteredWindow(2, 5)); err != nil {
-		t.Errorf("VerifyWindow: %v", err)
+	// The one-coset pass is the lattice search: for every catalog tile it
+	// finds the same period, with offset 0, so every point gets the same
+	// Theorem 1 slot.
+	for _, ti := range catalogTiles(t) {
+		lt, ok := FindLatticeTiling(ti)
+		if !ok {
+			t.Fatalf("no lattice tiling for %s", ti.Name())
+		}
+		pt, ok := FindPeriodicTiling(ti, 1)
+		if !ok {
+			t.Fatalf("%s should tile with one coset", ti.Name())
+		}
+		if !pt.Period().Equal(lt.Period()) {
+			t.Fatalf("%s: period %s, lattice search found %s", ti.Name(), pt.Period(), lt.Period())
+		}
+		if offs := pt.Offsets(); len(offs) != 1 || !offs[0].Equal(lattice.Origin(ti.Dim())) {
+			t.Fatalf("%s: offsets %v, want the origin alone", ti.Name(), offs)
+		}
+		side := 4
+		if ti.Dim() > 2 {
+			side = 2
+		}
+		w := lattice.CenteredWindow(ti.Dim(), side)
+		w.Each(func(p lattice.Point) bool {
+			got, err := pt.CosetIndex(p)
+			if err != nil {
+				t.Fatalf("%s: CosetIndex(%v): %v", ti.Name(), p, err)
+			}
+			if want, _ := lt.CosetIndex(p); got != want {
+				t.Fatalf("%s: CosetIndex(%v) = %d, lattice tiling says %d", ti.Name(), p, got, want)
+			}
+			return true
+		})
+		if err := pt.VerifyWindow(w); err != nil {
+			t.Errorf("%s: VerifyWindow: %v", ti.Name(), err)
+		}
 	}
 }
 

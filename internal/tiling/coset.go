@@ -8,8 +8,8 @@ import (
 	"tilingsched/internal/lattice"
 )
 
-// cosetTable is the dense slot index shared by LatticeTiling,
-// PeriodicTiling and Residues: a flat array over the det(H) residues of
+// cosetTable is the dense slot index shared by PeriodicTiling (and so
+// LatticeTiling) and Residues: a flat array over the det(H) residues of
 // Z^d modulo the period lattice T, the row span of the HNF H.
 //
 // The index is closed-form. The Smith form U·H·V = D makes
@@ -180,14 +180,4 @@ func (ct *cosetTable) assign(p lattice.Point, k int) (prev int, dup bool, err er
 	}
 	ct.slot[idx] = int32(k)
 	return 0, false, nil
-}
-
-// representative returns the canonical representative of p's coset as a
-// fresh point (cold path: rendering, verification, tests).
-func (ct *cosetTable) representative(p lattice.Point) (lattice.Point, error) {
-	rep, err := intmat.Reduce(ct.h, p.Int64())
-	if err != nil {
-		return nil, err
-	}
-	return lattice.FromInt64(rep), nil
 }

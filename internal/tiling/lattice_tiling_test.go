@@ -134,41 +134,57 @@ func TestFindFailsForNonExact(t *testing.T) {
 }
 
 func TestCosetIndexPartition(t *testing.T) {
-	lt, ok := FindLatticeTiling(prototile.MustTetromino("S"))
+	// For a lattice tiling (S) and for the two-coset gap tilings of Z and
+	// Z², every point must resolve to a slot, lie in the translate
+	// TranslateOf(p) + N at that slot's tile point, with the translate in
+	// T, and every slot must be used.
+	s, ok := FindLatticeTiling(prototile.MustTetromino("S"))
 	if !ok {
 		t.Fatal("no tiling for S")
 	}
-	// Every point must resolve; points in the same translate must get
-	// distinct indices covering 0..3.
-	w := lattice.CenteredWindow(2, 6)
-	countByIdx := make([]int, 4)
-	for _, p := range w.Points() {
-		k, err := lt.CosetIndex(p)
-		if err != nil {
-			t.Fatalf("CosetIndex(%v): %v", p, err)
+	tilings := []*PeriodicTiling{s}
+	for _, gap := range []*prototile.Tile{
+		prototile.MustNew("gap", lattice.Pt(0), lattice.Pt(2)),
+		prototile.MustNew("gap2", lattice.Pt(0, 0), lattice.Pt(2, 0)),
+	} {
+		pt, ok := FindPeriodicTiling(gap, 2)
+		if !ok || len(pt.Offsets()) != 2 {
+			t.Fatalf("%s: want a two-coset tiling, got %v", gap.Name(), pt)
 		}
-		if k < 0 || k >= 4 {
-			t.Fatalf("CosetIndex(%v) = %d out of range", p, k)
-		}
-		countByIdx[k]++
-		// p must equal translate + n_k with translate in T.
-		tr, err := lt.TranslateOf(p)
-		if err != nil {
-			t.Fatalf("TranslateOf: %v", err)
-		}
-		in, err := lt.InTranslateSet(tr)
-		if err != nil {
-			t.Fatalf("InTranslateSet: %v", err)
-		}
-		if !in {
-			t.Fatalf("TranslateOf(%v) = %v not in T", p, tr)
-		}
+		tilings = append(tilings, pt)
 	}
-	// Coset classes have equal density: counts differ by at most the
-	// boundary effect of the window.
-	for k, c := range countByIdx {
-		if c == 0 {
-			t.Errorf("coset %d unused in window", k)
+	for _, tl := range tilings {
+		ti := tl.Tile()
+		countByIdx := make([]int, ti.Size())
+		for _, p := range lattice.CenteredWindow(ti.Dim(), 6).Points() {
+			k, err := tl.CosetIndex(p)
+			if err != nil {
+				t.Fatalf("%s: CosetIndex(%v): %v", ti.Name(), p, err)
+			}
+			if k < 0 || k >= ti.Size() {
+				t.Fatalf("%s: CosetIndex(%v) = %d out of range", ti.Name(), p, k)
+			}
+			countByIdx[k]++
+			// p must equal translate + n_k with translate in T.
+			tr, err := tl.TranslateOf(p)
+			if err != nil {
+				t.Fatalf("%s: TranslateOf: %v", ti.Name(), err)
+			}
+			in, err := tl.InTranslateSet(tr)
+			if err != nil {
+				t.Fatalf("%s: InTranslateSet: %v", ti.Name(), err)
+			}
+			if !in {
+				t.Fatalf("%s: TranslateOf(%v) = %v not in T", ti.Name(), p, tr)
+			}
+			if n := p.Sub(tr); !n.Equal(ti.Points()[k]) {
+				t.Fatalf("%s: p - TranslateOf(p) = %v at %v, want tile point %v", ti.Name(), n, p, ti.Points()[k])
+			}
+		}
+		for k, c := range countByIdx {
+			if c == 0 {
+				t.Errorf("%s: coset %d unused in window", ti.Name(), k)
+			}
 		}
 	}
 }

@@ -29,13 +29,9 @@ type Residues struct {
 // brought to Hermite normal form internally). The number of classes is
 // |det(period)|, which must fit the dense table (checked).
 func NewResidues(period *intmat.Matrix) (*Residues, error) {
-	if period.Rows() != period.Cols() {
-		return nil, fmt.Errorf("%w: period basis is %dx%d, want square",
-			ErrTiling, period.Rows(), period.Cols())
-	}
-	h, _ := intmat.HNF(period)
-	if !intmat.IsSquareFullRankHNF(h) {
-		return nil, fmt.Errorf("%w: period basis is singular", ErrTiling)
+	h, err := periodHNF(period, period.Rows())
+	if err != nil {
+		return nil, err
 	}
 	ct, err := newCosetTable(h)
 	if err != nil {
