@@ -142,6 +142,7 @@ func TestRestartRestoresSessions(t *testing.T) {
 		"latticed_snapshots_total",
 		"latticed_wal_torn_tails_total",
 		"latticed_wal_replayed_events_total",
+		"latticed_wal_append_failures_total",
 		"latticed_wal_append_ns",
 		"latticed_snapshot_ns",
 	} {

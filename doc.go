@@ -99,24 +99,20 @@
 //
 // # Dynamic deployments
 //
-// internal/dynamic opens the churn axis (DESIGN.md §9): real sensor
-// fields lose nodes, gain nodes, and duty-cycle, and a schedule that
-// must be recompiled on every change wastes both the ~70 ms (100k
-// vertices) conflict-graph rebuild and a full recolor's disruption.
+// The mutate plane opens the churn axis (DESIGN.md §9): real sensor
+// fields lose nodes, gain nodes, and duty-cycle. Theorem 1 needs no
+// repair for any of it: the coset schedule is collision-free on all of
+// Z^d, hence on every subset, so a joining sensor takes its coset slot
+// and no live sensor is ever reassigned.
 //
-//   - dynamic.Overlay maintains the conflict graph incrementally over a
-//     frozen base graph of any adjacency mode: a tombstone bitset for
-//     departures, added vertices for out-of-window joins, and explicit
-//     edge patches computed by a graph.SiteScanner probe of the
-//     p ± 2·reach bounding box (570 ns per join/leave round trip at
-//     100k vertices vs 73 ms for the rebuild it replaces;
-//     BENCH_<date>_dynamic.json). Compaction re-freezes the overlay
-//     when the delta exceeds a threshold.
-//   - dynamic.Mutator keeps the slot assignment valid: a join takes its
-//     seed slot when no live neighbor holds it (with a Theorem 1 seed,
-//     always); non-tiling seeds fall back to smallest-free-slot joins,
-//     damage-region DSATUR-repair, then a full recolor. Every Apply
-//     reports a Disruption and the changed slot assignments as deltas.
+//   - internal/dynamic is the reference model: a dynamic.Mutator keeps
+//     the live set in a map, gives every sensor seed.SlotOf(p) for a
+//     Theorem 1 seed, reports a Disruption and the changed slots per
+//     Apply, and re-checks collision-freedom by brute force in Verify.
+//     Its oracle test checks randomized streams, inside the window and
+//     out, against the plan's slots and against graph.VerifySchedule
+//     on a from-scratch conflict graph; perfbench's churn workload
+//     replays every session through it.
 //   - The service layer exposes sessions over POST /v1/plan:mutate,
 //     keyed by core.Signature + window and versioned by an epoch, so
 //     latticed clients track churn from delta responses without
@@ -132,8 +128,5 @@
 //     and daemon restarts; wsn.Config.Churn scripts the same
 //     events through the simulator (the tiling schedule needs no
 //     rescheduling under churn — condition T2 is subset-closed), and
-//     examples/churn walks the whole story. A differential oracle
-//     (internal/dynamic/oracle_test.go) pins every mutation sequence
-//     edge-identical and VerifySchedule-valid against from-scratch
-//     rebuilds across all three base modes.
+//     examples/churn walks the whole story.
 package tilingsched

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"tilingsched/internal/graph"
 	"tilingsched/internal/lattice"
 	"tilingsched/internal/prototile"
 	"tilingsched/internal/schedule"
@@ -64,9 +63,8 @@ func TestZeroDisruptionRejoin(t *testing.T) {
 }
 
 // TestBoundedDisruptionLargeWindow is the acceptance property at scale:
-// one join into a 10k-sensor deployment reassigns at most the damage
-// region — orders of magnitude below n — and the graph stays the base
-// graph (no rebuild happened: same overlay, zero added vertices).
+// one join just outside a 10k-sensor deployment takes its plan slot and
+// reassigns no one.
 func TestBoundedDisruptionLargeWindow(t *testing.T) {
 	w, err := lattice.BoxWindow(100, 100)
 	if err != nil {
@@ -77,19 +75,13 @@ func TestBoundedDisruptionLargeWindow(t *testing.T) {
 	if n != 10000 {
 		t.Fatalf("alive = %d", n)
 	}
-	// Out-of-window join: the only path that can disturb anything.
 	p := lattice.Pt(100, 50)
 	d, _, err := m.Apply([]Event{{Kind: Join, P: p}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FullRecolor {
-		t.Fatalf("single join forced a full recolor: %+v", d)
-	}
-	// Cross conflict degree is ≤ 12; damage-region repair may touch at
-	// most that many existing sensors.
-	if d.Reassigned > 12 {
-		t.Fatalf("join reassigned %d sensors (n = %d)", d.Reassigned, n)
+	if d.Reassigned != 0 || d.FullRecolor || d.Joined != 1 {
+		t.Fatalf("join disruption %+v (n = %d)", d, n)
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
@@ -176,11 +168,11 @@ func TestBatchDeltaMerging(t *testing.T) {
 	}
 }
 
-// TestMoveAtomicity: a move is one event — source freed, destination
-// colored, one departure and one join in the disruption.
+// TestMoveAtomicity: a move is one event — source freed, destination on
+// its plan slot, one departure and one join in the disruption.
 func TestMoveAtomicity(t *testing.T) {
 	w := lattice.CenteredWindow(2, 3)
-	m, _ := crossMutator(t, w, Options{})
+	m, plan := crossMutator(t, w, Options{})
 	from, to := lattice.Pt(2, 2), lattice.Pt(5, 5)
 	d, _, err := m.Apply([]Event{{Kind: Move, P: from, To: to}})
 	if err != nil {
@@ -192,11 +184,10 @@ func TestMoveAtomicity(t *testing.T) {
 	if _, err := m.SlotOf(from); err == nil {
 		t.Fatal("source still scheduled after move")
 	}
-	if _, err := m.SlotOf(to); err != nil {
+	if s, err := m.SlotOf(to); err != nil {
 		t.Fatalf("destination unscheduled after move: %v", err)
-	}
-	if m.Stats().Moves != 1 {
-		t.Fatalf("stats %+v", m.Stats())
+	} else if want, _ := plan.SlotOf(to); s != want {
+		t.Fatalf("destination holds slot %d, plan slot %d", s, want)
 	}
 }
 
@@ -232,41 +223,35 @@ func TestEachAssignment(t *testing.T) {
 	}
 }
 
-// TestSiteScannerAgainstConflict pins the SiteScanner probe to the
-// reference pairwise oracle over a dense candidate box.
-func TestSiteScannerAgainstConflict(t *testing.T) {
-	for _, tile := range []*prototile.Tile{
-		prototile.Cross(2, 1),
-		prototile.ChebyshevBall(2, 1),
-		prototile.Directional(),
-	} {
-		dep := schedule.NewHomogeneous(tile)
-		sc, err := graph.NewSiteScanner(dep)
-		if err != nil {
-			t.Fatalf("%s: NewSiteScanner: %v", tile.Name(), err)
-		}
-		for _, site := range []lattice.Point{lattice.Pt(0, 0), lattice.Pt(-3, 5)} {
-			if err := sc.Reset(site); err != nil {
-				t.Fatalf("Reset: %v", err)
-			}
-			box := lattice.CenteredWindow(2, 2*dep.Reach()+2)
-			box.Each(func(d lattice.Point) bool {
-				q := site.Add(d)
-				want := schedule.Conflict(dep, site, q)
-				if got := sc.Conflicts(q); got != want {
-					t.Fatalf("%s: Conflicts(%v vs %v) = %v, want %v", tile.Name(), site, q, got, want)
-				}
-				return true
-			})
-		}
+// TestVerifyFindsCollision: Verify checks the seed against the
+// deployment, so the cross's schedule over a Moore deployment, whose
+// neighborhoods the cross does not tile, reports a colliding pair.
+func TestVerifyFindsCollision(t *testing.T) {
+	w := lattice.CenteredWindow(2, 3)
+	m, plan := crossMutator(t, w, Options{})
+	if err := m.Verify(); err != nil {
+		t.Fatalf("cross seed over its own deployment: %v", err)
+	}
+	moore := schedule.NewHomogeneous(prototile.ChebyshevBall(2, 1))
+	bad, err := NewMutator(moore, w, plan, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cw schedule.CollisionWitness
+	if err := bad.Verify(); !errors.As(err, &cw) {
+		t.Fatalf("Verify = %v, want a schedule.CollisionWitness", err)
+	}
+	sp, _ := plan.SlotOf(cw.P)
+	sq, _ := plan.SlotOf(cw.Q)
+	if sp != cw.Slot || sq != cw.Slot || !schedule.Conflict(moore, cw.P, cw.Q) {
+		t.Fatalf("witness %v: slots %d, %d and conflict %v", cw, sp, sq, schedule.Conflict(moore, cw.P, cw.Q))
 	}
 }
 
-// TestConflictGraphModeRejectsPeriodic: the explicit-mode constructor
-// must refuse the implicit mode rather than mis-build it.
-func TestConflictGraphModeRejectsPeriodic(t *testing.T) {
+// TestNilSeed: a mutator needs a Theorem 1 seed; nil is refused.
+func TestNilSeed(t *testing.T) {
 	dep := schedule.NewHomogeneous(prototile.Cross(2, 1))
-	if _, _, err := graph.ConflictGraphMode(dep, lattice.CenteredWindow(2, 2), graph.Periodic); err == nil {
-		t.Fatal("ConflictGraphMode(Periodic) succeeded")
+	if _, err := NewMutator(dep, lattice.CenteredWindow(2, 2), nil, Options{}); !errors.Is(err, ErrDynamic) {
+		t.Fatalf("NewMutator(nil seed) err = %v, want ErrDynamic", err)
 	}
 }

@@ -458,26 +458,6 @@ func ConflictGraph(dep schedule.Deployment, w lattice.Window) (*Graph, []lattice
 	return conflictGraph(dep, w, Auto)
 }
 
-// ConflictGraphMode is ConflictGraph with the explicit adjacency mode
-// forced: Bitset or CSR build serially into the requested representation
-// regardless of the crossover, and Auto behaves exactly like
-// ConflictGraph (crossover + sharding). Periodic is not buildable here —
-// implicit graphs carry a stencil, not edges; use PeriodicConflictGraph.
-// The differential harnesses (internal/graph parity tests and the
-// internal/dynamic oracle) use this to pin every representation against
-// the same deployment; the dynamic Mutator uses it to honor a base-mode
-// preference. The returned graph is frozen and safe for concurrent
-// readers.
-func ConflictGraphMode(dep schedule.Deployment, w lattice.Window, mode Mode) (*Graph, []lattice.Point, error) {
-	if mode == Auto {
-		return ConflictGraph(dep, w)
-	}
-	if mode == Periodic {
-		return nil, nil, fmt.Errorf("%w: periodic graphs are built by PeriodicConflictGraph, not ConflictGraphMode", ErrGraph)
-	}
-	return conflictGraph(dep, w, mode)
-}
-
 // conflictGraph is ConflictGraph's serial path with an explicit adjacency
 // mode, so the parity tests can build the same deployment into both
 // explicit representations. Edge generation is one conflictScanner pass

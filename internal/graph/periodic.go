@@ -138,28 +138,6 @@ func (g *Graph) periodicPoint(u int, buf []int) lattice.Point {
 	return g.pw.PointAtInto(u, dst)
 }
 
-// ConflictOffsets returns the flattened conflict-offset stencil row of
-// p's residue class: every offset d (dim ints per offset) such that a
-// sensor at p conflicts with one at p+d. The row is valid for ANY
-// point p — inside the graph's window or not — because the periodicity
-// contract (NeighborhoodOf(p+h) = h + NeighborhoodOf(p) for h ∈ HZ^d)
-// holds on the whole lattice, which is what lets internal/dynamic
-// patch out-of-window joins and moves by pure translation instead of
-// re-probing neighborhoods. Periodic mode only; ok is false in the
-// explicit modes or when p's dimension does not match. The returned
-// slice aliases the frozen stencil table and must not be modified.
-func (g *Graph) ConflictOffsets(p lattice.Point) ([]int, bool) {
-	if g.mode != Periodic {
-		return nil, false
-	}
-	c, ok := g.res.ClassOf(p)
-	if !ok {
-		return nil, false
-	}
-	dim := g.pw.Dim()
-	return g.stOff[g.stPtr[c]*dim : g.stPtr[c+1]*dim], true
-}
-
 // stencilRow returns the flattened conflict offsets of vertex u's
 // residue class.
 func (g *Graph) stencilRow(p lattice.Point) []int {

@@ -164,95 +164,6 @@ func newConflictScanner(dep schedule.Deployment, w lattice.Window, workers int) 
 	return sc, nil
 }
 
-// SiteScanner is the single-site face of the conflict scan: it answers
-// "does a sensor at q conflict with the sensor at site?" for candidates q
-// near one mutation site, using the same dense ext-window indexing and
-// epoch-mark deduplication as the full conflictScanner — O(|N|) per
-// Reset, O(|N|) integer compares per Conflicts call, and no allocation
-// after construction. It is the patch builder of the dynamic-deployment
-// overlay (internal/dynamic): a Join event resets the scanner to the
-// joining point and probes only the p ± 2·reach bounding box instead of
-// rebuilding the graph.
-//
-// A SiteScanner is single-goroutine state (one stamp array, one current
-// site); concurrent mutators must each own one.
-type SiteScanner struct {
-	dep   schedule.Deployment
-	reach int
-	dim   int
-	ext   lattice.Window // current site ± 3·reach; re-centered by Reset
-	marks epochMarks     // sized (6·reach+1)^dim once, epoch-cleared
-	epoch int32
-}
-
-// NewSiteScanner builds a reusable scanner for the deployment. The stamp
-// array covers a (6·reach+1)^dim box — candidates live within 2·reach of
-// the site and their neighborhood points within a further reach — so the
-// memory cost is that of a single conflictScanner row, independent of
-// any window.
-func NewSiteScanner(dep schedule.Deployment) (*SiteScanner, error) {
-	dim := dep.Dim()
-	reach := dep.Reach()
-	box := lattice.CenteredWindow(dim, 3*reach)
-	size, err := box.SizeChecked()
-	if err != nil || size > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: site scan box too large (reach %d, dim %d)", ErrGraph, reach, dim)
-	}
-	return &SiteScanner{
-		dep:   dep,
-		reach: reach,
-		dim:   dim,
-		marks: newEpochMarks(size),
-		epoch: -1,
-	}, nil
-}
-
-// Reach returns the deployment's reach, cached at construction.
-func (s *SiteScanner) Reach() int { return s.reach }
-
-// Reset re-centers the scanner on a mutation site, stamping the site's
-// interference neighborhood into the mark array. Clearing is free: the
-// epoch counter advances instead of wiping the stamps.
-func (s *SiteScanner) Reset(site lattice.Point) error {
-	if len(site) != s.dim {
-		return fmt.Errorf("%w: site %v has dimension %d, want %d", ErrGraph, site, len(site), s.dim)
-	}
-	s.epoch++
-	if s.epoch == math.MaxInt32 {
-		// Epoch wrapped: re-zero the marks and restart the counter.
-		for i := range s.marks {
-			s.marks[i] = -1
-		}
-		s.epoch = 0
-	}
-	lo := make(lattice.Point, s.dim)
-	hi := make(lattice.Point, s.dim)
-	for a := 0; a < s.dim; a++ {
-		lo[a] = site[a] - 3*s.reach
-		hi[a] = site[a] + 3*s.reach
-	}
-	s.ext = lattice.Window{Lo: lo, Hi: hi}
-	for _, x := range s.dep.NeighborhoodOf(site) {
-		if xi, ok := s.ext.IndexOf(x); ok {
-			s.marks.mark(xi, s.epoch)
-		}
-	}
-	return nil
-}
-
-// Conflicts reports whether a sensor at q would conflict with the sensor
-// at the current site: some point of q's neighborhood carries the site's
-// stamp. Candidates farther than 2·reach (Chebyshev) cannot conflict and
-// answer false without touching the marks.
-func (s *SiteScanner) Conflicts(q lattice.Point) bool {
-	for _, x := range s.dep.NeighborhoodOf(q) {
-		if xi, ok := s.ext.IndexOf(x); ok && s.marks.seen(xi, s.epoch) {
-			return true
-		}
-	}
-	return false
-}
-
 // shardRange splits [0, n) into `shards` near-equal contiguous ranges and
 // returns the s-th as [lo, hi).
 func shardRange(n, shards, s int) (lo, hi int) {

@@ -135,12 +135,13 @@ type Metrics struct {
 
 	// Session-persistence plane (DESIGN.md §12): WAL appends and their
 	// wall time, per-record fsyncs, snapshot writes, events replayed on
-	// restore, and the three recovery modes kept distinct — torn WAL
-	// tails truncated, corrupt snapshots dropped, and unusable WALs
-	// (corrupt header or a base epoch past the restored state) reset.
+	// restore, failed appends (each ends its session with a 500), and
+	// the three recovery modes kept distinct — torn WAL tails truncated,
+	// corrupt snapshots dropped, and unusable WALs (corrupt header or a
+	// base epoch past the restored state) reset.
 	walAppends, walFsyncs, snapshots    *obs.Counter
 	tornTails, snapsDropped, walResets  *obs.Counter
-	replayedEvents                      *obs.Counter
+	replayedEvents, walAppendFails      *obs.Counter
 	walAppendNs, walFsyncNs, snapshotNs *obs.Histogram
 
 	// Push plane (DESIGN.md §13): live/attached subscriber accounting,
@@ -221,6 +222,7 @@ func newServerMetrics(opts ServerOptions) *Metrics {
 	m.snapsDropped = r.Counter("latticed_snapshots_dropped_total")
 	m.walResets = r.Counter("latticed_wal_resets_total")
 	m.replayedEvents = r.Counter("latticed_wal_replayed_events_total")
+	m.walAppendFails = r.Counter("latticed_wal_append_failures_total")
 	m.walAppendNs = r.Histogram("latticed_wal_append_ns")
 	m.walFsyncNs = r.Histogram("latticed_wal_fsync_ns")
 	m.snapshotNs = r.Histogram("latticed_snapshot_ns")

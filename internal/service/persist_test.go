@@ -1033,10 +1033,10 @@ func TestPersistWALGapStopsRestore(t *testing.T) {
 }
 
 // TestPersistAppendFailureEndsSession fails a WAL append: the batch
-// answers 500 and is neither acknowledged nor published, and the
-// session ends, its subscribers with a resync bye. The next request
-// restores the last durable epoch, so epoch 2 is acknowledged once,
-// with the contents the log holds.
+// answers 500, counts latticed_wal_append_failures_total, and is neither
+// acknowledged nor published, and the session ends, its subscribers
+// with a resync bye. The next request restores the last durable epoch,
+// so epoch 2 is acknowledged once, with the contents the log holds.
 func TestPersistAppendFailureEndsSession(t *testing.T) {
 	dir := t.TempDir()
 	s := newPersistServer(t, dir, ServerOptions{MaxSessions: 1})
@@ -1054,7 +1054,13 @@ func TestPersistAppendFailureEndsSession(t *testing.T) {
 	sess.disk.wal.Close() // the next append fails
 	sess.mu.Unlock()
 
+	if n := s.met.walAppendFails.Load(); n != 0 {
+		t.Fatalf("%d append failures counted before any failed, want 0", n)
+	}
 	mutateJSON(t, s, persistBody(`"events":[{"op":"leave","p":[2,2]}]`), http.StatusInternalServerError)
+	if n := s.met.walAppendFails.Load(); n != 1 {
+		t.Fatalf("%d append failures counted, want 1", n)
+	}
 	if d, open := <-feed.C; open {
 		t.Fatalf("subscriber received epoch %d of an unlogged batch", d.Epoch)
 	}

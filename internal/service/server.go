@@ -293,6 +293,7 @@ func (s *Server) mutateCore(plan *core.Plan, req *BinMutate, tsp *trace.Trace) (
 				// epoch rather than serve this one again with other
 				// contents.
 				if perr := sess.disk.append(sess.epoch, events[:d.Events]); perr != nil {
+					s.met.walAppendFails.Inc()
 					s.sessions.logfSafe("latticed: session %s: %v (session dropped at its last durable epoch)", sess.key, perr)
 					s.sessions.drop(sess)
 					return MutateResponse{}, http.StatusInternalServerError, perr
