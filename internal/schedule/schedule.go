@@ -36,7 +36,8 @@ type Schedule interface {
 // paper's deployment rule (homogeneous before Theorem 1, D1 in Section 4).
 type Deployment interface {
 	// NeighborhoodOf returns the absolute positions affected by a
-	// broadcast of the sensor at p (the set p + N(p), which includes p).
+	// broadcast of the sensor at p (the set p + N(p), which includes p),
+	// in a slice the caller owns and may reorder.
 	NeighborhoodOf(p lattice.Point) []lattice.Point
 	// Reach bounds the Chebyshev distance from p to any point of its
 	// neighborhood; used to limit conflict searches.

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"errors"
+	"math/rand/v2"
 	"testing"
 
 	"tilingsched/internal/lattice"
@@ -172,6 +173,75 @@ func TestConflictSymmetricAndSelf(t *testing.T) {
 	far := lattice.Pt(10, 10)
 	if Conflict(dep, p, far) {
 		t.Error("distant points conflict")
+	}
+}
+
+// conflictBySet is the set-based definition of Conflict: p's
+// neighborhood in a string-keyed set, probed with each point of q's.
+func conflictBySet(dep Deployment, p, q lattice.Point) bool {
+	np := lattice.NewSet(dep.NeighborhoodOf(p)...)
+	for _, x := range dep.NeighborhoodOf(q) {
+		if np.Contains(x) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestConflictMatchesSetDefinition compares Conflict with its set-based
+// definition on random pairs up to one past twice the reach apart, for homogeneous
+// deployments (two 512-point tiles among them, one of them sparse) and
+// for D1 deployments over two-prototile torus tilings.
+func TestConflictMatchesSetDefinition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 0))
+	sparse := []lattice.Point{lattice.Origin(3)}
+	for seen := lattice.NewSet(sparse[0]); len(sparse) < 512; {
+		p := lattice.Pt(rng.IntN(15)-7, rng.IntN(15)-7, rng.IntN(15)-7)
+		if !seen.Contains(p) {
+			seen.Add(p)
+			sparse = append(sparse, p)
+		}
+	}
+	rots, err := prototile.LTromino().Rotations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trominoes, err := tiling.SolveTorus([]int{3, 4}, []*prototile.Tile{rots[0], rots[2]}, tiling.SolveOptions{MaxSolutions: 1})
+	if err != nil || len(trominoes) == 0 {
+		t.Fatalf("SolveTorus: %v (%d solutions)", err, len(trominoes))
+	}
+	deps := []struct {
+		name string
+		dep  Deployment
+	}{
+		{"cross-2-1", NewHomogeneous(prototile.Cross(2, 1))},
+		{"chebyshev-3-1", NewHomogeneous(prototile.ChebyshevBall(3, 1))},
+		{"rect-16x32", NewHomogeneous(prototile.Rect(16, 32))},
+		{"sparse-512", NewHomogeneous(prototile.MustNew("sparse", sparse...))},
+		{"d1-domino", NewD1(respectableDominoTiling(t))},
+		{"d1-trominoes", NewD1(trominoes[0])},
+	}
+	const pairs = 500
+	for _, d := range deps {
+		dim, r := d.dep.Dim(), 2*d.dep.Reach()+1
+		conflicts := 0
+		for i := 0; i < pairs; i++ {
+			p, q := make(lattice.Point, dim), make(lattice.Point, dim)
+			for a := range p {
+				p[a] = rng.IntN(41) - 20
+				q[a] = p[a] + rng.IntN(2*r+1) - r
+			}
+			got, want := Conflict(d.dep, p, q), conflictBySet(d.dep, p, q)
+			if got != want {
+				t.Fatalf("%s: Conflict(%v, %v) = %v, set definition %v", d.name, p, q, got, want)
+			}
+			if want {
+				conflicts++
+			}
+		}
+		if conflicts == 0 || conflicts == pairs {
+			t.Errorf("%s: %d of %d pairs conflict; both answers must occur", d.name, conflicts, pairs)
+		}
 	}
 }
 

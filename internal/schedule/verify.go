@@ -2,17 +2,27 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 
 	"tilingsched/internal/lattice"
 )
 
 // Conflict reports whether two sensors may not share a slot: their
 // interference neighborhoods intersect. This is the paper's condition
-// "(s+N) ∩ (t+N) ≠ ∅"; note p conflicts with itself (p ∈ p+N).
+// "(s+N) ∩ (t+N) ≠ ∅"; note p conflicts with itself (p ∈ p+N). Both
+// neighborhoods are sorted lexicographically and merged, with no set or
+// string key; a translate of a sorted tile is already sorted.
 func Conflict(dep Deployment, p, q lattice.Point) bool {
-	np := lattice.NewSet(dep.NeighborhoodOf(p)...)
-	for _, x := range dep.NeighborhoodOf(q) {
-		if np.Contains(x) {
+	np, nq := dep.NeighborhoodOf(p), dep.NeighborhoodOf(q)
+	slices.SortFunc(np, slices.Compare[lattice.Point])
+	slices.SortFunc(nq, slices.Compare[lattice.Point])
+	for len(np) > 0 && len(nq) > 0 {
+		switch c := slices.Compare(np[0], nq[0]); {
+		case c < 0:
+			np = np[1:]
+		case c > 0:
+			nq = nq[1:]
+		default:
 			return true
 		}
 	}

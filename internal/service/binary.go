@@ -145,16 +145,11 @@ func decodePlanRef(r *binwire.Reader) (BinPlanRef, error) {
 			if r.Err() != nil {
 				return ref, failSpec(r)
 			}
-			pts := make([][]int, count)
 			flat := make([]int, count*dim)
-			prev := make([]int64, dim)
+			r.Deltas(flat, dim)
+			pts := make([][]int, count)
 			for i := range pts {
-				row := flat[i*dim : (i+1)*dim]
-				for a := 0; a < dim; a++ {
-					prev[a] += r.Varint()
-					row[a] = int(prev[a])
-				}
-				pts[i] = row
+				pts[i] = flat[i*dim : (i+1)*dim]
 			}
 			ref.Spec.Tile.Points = pts
 		default:
@@ -260,27 +255,19 @@ func DecodeBinaryBatch(data []byte, lim Limits, sc *BinScratch) (BinBatch, error
 		if count == 0 || dim == 0 {
 			return BinBatch{}, fmt.Errorf("%w: empty point batch", ErrSpec)
 		}
+		// Every coordinate takes at least one byte: a count the payload
+		// cannot hold fails before it sizes the arena.
+		if count > r.Remaining()/dim {
+			return BinBatch{}, fmt.Errorf("%w: %d points of dimension %d overrun the %d bytes left", ErrSpec, count, dim, r.Remaining())
+		}
 		sc.reserve(count * dim)
 		if cap(sc.pts) < count {
 			sc.pts = make([]lattice.Point, 0, count)
 		}
-		var prev lattice.Point
-		for i := 0; i < count; i++ {
-			row := sc.grab(dim)
-			if i == 0 {
-				for a := 0; a < dim; a++ {
-					row[a] = int(r.Varint())
-				}
-			} else {
-				for a := 0; a < dim; a++ {
-					row[a] = prev[a] + int(r.Varint())
-				}
-			}
-			prev = row
-			sc.pts = append(sc.pts, lattice.Point(row))
-		}
-		if r.Err() != nil {
-			return BinBatch{}, failSpec(&r)
+		coords := sc.grab(count * dim)
+		r.Deltas(coords, dim)
+		for off := 0; off < len(coords); off += dim {
+			sc.pts = append(sc.pts, coords[off:off+dim:off+dim])
 		}
 		req.Points = sc.pts
 	case 1:

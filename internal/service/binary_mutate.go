@@ -102,9 +102,15 @@ func DecodeBinaryMutate(data []byte, lim Limits) (BinMutate, error) {
 	if count == 0 && !req.Full {
 		return BinMutate{}, fmt.Errorf("%w: no events and full not requested", ErrSpec)
 	}
+	// Every event takes at least its op byte and one byte per
+	// coordinate: a count the payload cannot hold fails before it sizes
+	// the event list.
+	dim := req.Window.Dim()
+	if count > r.Remaining()/(1+dim) {
+		return BinMutate{}, fmt.Errorf("%w: %d events of dimension %d overrun the %d bytes left", ErrSpec, count, dim, r.Remaining())
+	}
 	// Growth bound, identical to the JSON funnel: every event position
 	// must stay within MutateMargin of the session window.
-	dim := req.Window.Dim()
 	bound := growMargin(req.Window)
 	req.Events = make([]dynamic.Event, 0, count)
 	for i := 0; i < count; i++ {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +128,64 @@ func TestBinaryHugeCountRejected(t *testing.T) {
 		t.Errorf("huge event count: err %v, want ErrLimit", err)
 	}
 	binwire.Put(mut)
+}
+
+// TestBinaryCountBoundedByBytes pins the pre-allocation bound of both
+// binary funnels: a count within MaxBatch that the payload bytes cannot
+// hold (a coordinate takes a byte, an event its op byte and one per
+// coordinate) is ErrSpec, and sizes neither the pooled arena nor an
+// event list.
+func TestBinaryCountBoundedByBytes(t *testing.T) {
+	const claimed = 1 << 16
+	lim := Limits{MaxBatch: claimed}
+	planRef := func(e *binwire.Buffer) {
+		e.Byte(0) // plan tag: spec
+		e.String("")
+		e.Byte(0) // tile tag: name
+		e.String("cross:2:1")
+	}
+
+	var batch binwire.Buffer
+	batch.BeginFrame(binwire.FrameBatchSlots)
+	planRef(&batch)
+	batch.Byte(0) // query tag: explicit points
+	batch.Uvarint(claimed)
+	batch.Uvarint(maxTileDim)
+	batch.EndFrame()
+	body := batch.Bytes()
+	var sc BinScratch
+	if _, err := DecodeBinaryBatch(body, lim, &sc); !errors.Is(err, ErrSpec) {
+		t.Errorf("%d-byte body claiming %d points: err %v, want ErrSpec", len(body), claimed, err)
+	}
+	if cap(sc.coords) > len(body) || cap(sc.pts) > len(body) {
+		t.Errorf("%d-byte body left an arena of %d coordinates and %d point headers", len(body), cap(sc.coords), cap(sc.pts))
+	}
+
+	var mut binwire.Buffer
+	mut.BeginFrame(binwire.FrameMutate)
+	planRef(&mut)
+	mut.Uvarint(2) // window dim
+	mut.Varint(0)
+	mut.Varint(0)
+	mut.Uvarint(4)
+	mut.Uvarint(4)
+	mut.Byte(0) // flags
+	mut.Uvarint(claimed)
+	mut.Byte(binOpJoin)
+	mut.Varint(1)
+	mut.Varint(1)
+	mut.EndFrame()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBinaryMutate(mut.Bytes(), lim)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSpec) {
+		t.Errorf("mutate frame claiming %d events: err %v, want ErrSpec", claimed, err)
+	}
+	// The event list alone would be claimed × the event size.
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("mutate frame claiming %d events allocated %d bytes", claimed, n)
+	}
 }
 
 // mutateParityCorpus mirrors FuzzDecodeMutateRequest's valid seeds.

@@ -256,6 +256,44 @@ func (r *Reader) Uvarint() uint64 {
 // Varint reads one zigzagged value.
 func (r *Reader) Varint() int64 { return Unzigzag(r.Uvarint()) }
 
+// Deltas reads len(dst) zigzagged values into dst as a delta-encoded
+// run of points of dim coordinates each, the point-sequence form of
+// the message grammar: the first dim values are absolute, and every
+// later one is the difference from the value dim places before it,
+// added with int's wraparound. One- and two-byte encodings decode in
+// line; longer ones go through Uvarint, so a truncated, overlong or
+// non-minimal value fails exactly as there. The first failure ends the
+// read and leaves dst's later values unset.
+func (r *Reader) Deltas(dst []int, dim int) {
+	if r.err != nil {
+		return
+	}
+	data, off := r.data, r.off
+	for k := range dst {
+		var u uint64
+		switch {
+		case off < len(data) && data[off] < 0x80:
+			u = uint64(data[off])
+			off++
+		case off+1 < len(data) && data[off+1] < 0x80 && data[off+1] != 0:
+			u = uint64(data[off]&0x7f) | uint64(data[off+1])<<7
+			off += 2
+		default:
+			r.off = off
+			if u = r.Uvarint(); r.err != nil {
+				return
+			}
+			off = r.off
+		}
+		v := int(Unzigzag(u))
+		if k >= dim {
+			v += dst[k-dim]
+		}
+		dst[k] = v
+	}
+	r.off = off
+}
+
 // Byte reads one raw byte.
 func (r *Reader) Byte() byte {
 	if r.err != nil {

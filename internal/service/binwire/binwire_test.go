@@ -3,7 +3,9 @@ package binwire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -98,6 +100,51 @@ func TestReaderBounds(t *testing.T) {
 		c.read(&r)
 		if !errors.Is(r.Err(), ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", c.name, r.Err())
+		}
+	}
+}
+
+// TestDeltasMatchVarint checks Reader.Deltas against one Varint per
+// value, each added to the value dim places before it: the same values,
+// the same offset, and the same failure for every encoding length and
+// for truncated, overlong and non-minimal values, which its inline one-
+// and two-byte paths must send on to Uvarint.
+func TestDeltasMatchVarint(t *testing.T) {
+	var e Buffer
+	for _, v := range []int64{0, -1, 63, -64, 64, 8191, -8192, 8192, 1 << 20, math.MaxInt64, math.MinInt64, 5} {
+		e.Varint(v)
+	}
+	valid := e.Bytes()
+	streams := [][]byte{
+		valid,
+		append([]byte{0x02}, 0x80, 0x00), // non-minimal two-byte zero
+		{0x02, 0xff, 0x80, 0x00},         // non-minimal three-byte
+		{0x02, 0x80},                     // cut inside a two-byte value
+		{0x02, 0xff, 0xff},               // cut inside a three-byte value
+		append([]byte{0x02}, bytes.Repeat([]byte{0xff}, 10)...), // overlong
+		{0x02}, // cut before a value
+	}
+	for _, data := range streams {
+		for _, dim := range []int{1, 2, 3} {
+			want := make([]int, 12)
+			ref := NewReader(data)
+			for k := range want {
+				want[k] = int(ref.Varint())
+				if k >= dim {
+					want[k] += want[k-dim]
+				}
+				if ref.Err() != nil {
+					break
+				}
+			}
+			got := make([]int, len(want))
+			r := NewReader(data)
+			r.Deltas(got, dim)
+			if fmt.Sprint(r.Err()) != fmt.Sprint(ref.Err()) || r.Remaining() != ref.Remaining() {
+				t.Errorf("% x dim %d: err %v, %d left; reference err %v, %d left", data, dim, r.Err(), r.Remaining(), ref.Err(), ref.Remaining())
+			} else if r.Err() == nil && !slices.Equal(got, want) {
+				t.Errorf("% x dim %d: %v, want %v", data, dim, got, want)
+			}
 		}
 	}
 }

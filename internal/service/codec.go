@@ -133,7 +133,11 @@ func appendSlotsJSON(b []byte, r SlotsResponse) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(v), 10)
+		if uint32(v) < 10 { // every slot when m ≤ 10
+			b = append(b, '0'+byte(v))
+		} else {
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
 	}
 	return append(b, "]}\n"...)
 }
@@ -177,9 +181,13 @@ func (jsonCodec) bye(e *binwire.Buffer, epoch uint64, reason string) {
 // The stream elements are plain structs, which always encode.
 func appendLine(e *binwire.Buffer, v any) { _ = json.NewEncoder(e).Encode(v) }
 
-// writeBuffered answers a complete response encoded in e.
+// writeBuffered answers a complete response encoded in e. It frames
+// the body by its length: net/http computes a Content-Length itself
+// only for a body that fits its 2,048-byte write buffer, and chunks any
+// larger one.
 func writeBuffered(w http.ResponseWriter, status int, contentType string, e *binwire.Buffer) {
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(e.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(e.Bytes())
 }

@@ -333,6 +333,7 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 		{M: 5, Slots: []int32{}},
 		{M: 1, Slots: []int32{0}},
 		{M: 1 << 30, Slots: []int32{4, 0, 1<<31 - 1, 17, -1 << 31}},
+		{M: 11, Slots: []int32{9, 10, 0, -1, 100}}, // around the one-byte slot
 	} {
 		if got, want := appendSlotsJSON([]byte("prefix"), r), append([]byte("prefix"), encode(r)...); !bytes.Equal(got, want) {
 			t.Errorf("appendSlotsJSON(%+v) = %q, want %q", r, got, want)
@@ -362,6 +363,24 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 
 // raceEnabled reports a -race build (race_test.go).
 var raceEnabled bool
+
+// TestJSONBatchFraming pins the framing of a JSON batch answer past
+// net/http's 2,048-byte write buffer: a 1,024-point slots answer (2,066
+// bytes at m = 5) carries its Content-Length and is not chunked.
+func TestJSONBatchFraming(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{})
+	points := make([][]int, 1024)
+	for i := range points {
+		points[i] = []int{i*7%2001 - 1000, i*13%2001 - 1000}
+	}
+	resp, body := postJSON(t, srv, "/v1/slots:batch", BatchRequest{Plan: PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}, Points: points})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+		t.Errorf("%d-byte answer: Content-Length %d, Transfer-Encoding %q", len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+}
 
 // TestJSONBatchAllocs bounds the allocations of a 1,024-point JSON
 // slots or may-broadcast batch through ServeHTTP, request and recorder

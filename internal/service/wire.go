@@ -1,10 +1,12 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -560,7 +562,8 @@ func (s *jsonScanner) object() ([]byte, bool) {
 
 // rows reads the points array into sc. Each row's header records only
 // its length until scanBatch binds it, since appending may still move
-// the arena.
+// the arena. Within a row the offset stays a local, so it can live in a
+// register from one coordinate to the next.
 func (s *jsonScanner) rows(maxRows int, sc *BinScratch) bool {
 	if !s.next('[') {
 		return false
@@ -574,18 +577,19 @@ func (s *jsonScanner) rows(maxRows int, sc *BinScratch) bool {
 		}
 		start := len(sc.coords)
 		if !s.next(']') {
-			for {
-				v, ok := s.int(strconv.IntSize)
+			for off := s.off; ; {
+				v, c, next, ok := coordAt(s.data, off)
 				if !ok || len(sc.coords)-start == maxTileDim {
 					return false
 				}
-				sc.coords = append(sc.coords, int(v))
-				if !s.next(',') {
+				sc.coords = append(sc.coords, v)
+				if off = next; c != ',' {
+					if c != ']' {
+						return false
+					}
+					s.off = off
 					break
 				}
-			}
-			if !s.next(']') {
-				return false
 			}
 		}
 		sc.pts = append(sc.pts, sc.coords[start:])
@@ -593,6 +597,73 @@ func (s *jsonScanner) rows(maxRows int, sc *BinScratch) bool {
 			return s.next(']')
 		}
 	}
+}
+
+// after consumes the next byte that is not whitespace and returns it,
+// or 0 at the end of the body. It skips whitespace only where the next
+// byte could be some.
+func (s *jsonScanner) after() byte {
+	if s.off < len(s.data) && s.data[s.off] <= ' ' {
+		s.space()
+	}
+	if s.off == len(s.data) {
+		return 0
+	}
+	s.off++
+	return s.data[s.off-1]
+}
+
+// SWAR constants of coordAt: every byte of a word set to one value.
+const (
+	ones8   = 0x0101010101010101
+	digits8 = '0' * ones8
+	low7    = 0x7f * ones8
+	high8   = 0x80 * ones8
+)
+
+// coordAt reads the coordinate at data[off:], an integer literal that
+// fits int, and the first byte after it that is not whitespace; it
+// returns the coordinate, that byte (0 at the end of the body) and the
+// offset past it. The literal is read a word at a time: one 8-byte
+// load, a mask that finds the first byte that is not a digit, and
+// three multiply-shift steps that convert up to 7 digits, with a minus
+// sign folded in without a branch as a leading zero digit. A comma or
+// bracket right after the digits comes out of the same word. Whitespace
+// before the literal, 8 or more digits (7 after a sign), a leading
+// zero, or fewer than 8 bytes of body left send the literal to
+// jsonScanner.int instead, byte at a time, which also keeps a 32-bit
+// int's overflow rule: 7 digits cannot overflow any int.
+func coordAt(data []byte, off int) (int, byte, int, bool) {
+	if off+8 <= len(data) {
+		w := binary.LittleEndian.Uint64(data[off : off+8])
+		neg := (uint64(w&0xff^'-') - 1) >> 63 // 1 for a minus sign, else 0
+		d := (w ^ digits8) &^ (neg * 0xff)    // a digit byte becomes its value, the sign 0
+		// A byte's high bit marks a byte that is not a digit (≥ 10),
+		// with no carry between bytes.
+		n := bits.TrailingZeros64(((d&low7)+(0x7f-9)*ones8|d)&high8) / 8
+		if digits := n - int(neg); digits > 0 && n < 8 && (digits == 1 || byte(d>>(8*neg)) != 0) {
+			// The literal to the top bytes, zeros below it; then pairs,
+			// quads and the whole, the lowest byte leading.
+			d <<= 64 - 8*n
+			d = (d * (10<<8 + 1)) >> 8
+			d = ((d & 0x00ff00ff00ff00ff) * (100<<16 + 1)) >> 16
+			d = ((d & 0x0000ffff0000ffff) * (10000<<32 + 1)) >> 32
+			v := (int(d) ^ -int(neg)) + int(neg)
+			if c := byte(w >> (8 * n)); c == ',' || c == ']' {
+				return v, c, off + n + 1, true
+			}
+			s := jsonScanner{data: data, off: off + n}
+			c := s.after() // before s.off is read: a return list does not order them
+			return v, c, s.off, true
+		}
+	}
+	s := jsonScanner{data: data, off: off}
+	v, ok := s.int(strconv.IntSize)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	c := s.after()
+	return int(v), c, s.off, true
 }
 
 // int reads an integer literal that fits a signed integer of the given

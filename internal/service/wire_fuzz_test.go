@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -178,6 +179,58 @@ func TestScanBatchShape(t *testing.T) {
 		if _, scanned := scanBatch([]byte(c.body), 8, &sc); scanned != c.scanned {
 			t.Errorf("scanBatch(%q) scanned = %v, want %v", c.body, scanned, c.scanned)
 		}
+	}
+}
+
+// TestScanBatchLiterals pins the scanned coordinate literals around the
+// word-at-a-time path's edges — 7 digits it converts, 8 and more it
+// leaves to the byte-at-a-time reader, a literal too near the end of
+// the body for an 8-byte load, whitespace inside rows — and checks that
+// each body decodes exactly as the encoding/json reference does.
+func TestScanBatchLiterals(t *testing.T) {
+	wide := strconv.IntSize == 64 // the literal fits int only on 64-bit builds
+	cases := []struct {
+		body    string
+		scanned bool
+	}{
+		{`{"points":[[1234567,-7654321],[7,-7]]}`, true},
+		{`{"points":[[12345678,-87654321],[7,-7]]}`, true},
+		{`{"points":[[123456789,-987654321],[7,-7]]}`, true},
+		{`{"points":[[123456789012345678,-876543210987654321],[7]]}`, wide},
+		{`{"points":[[1234567890123456789,-1234567890123456789],[7]]}`, wide},
+		{`{"points":[[12345678901234567890],[7]]}`, false},
+		{`{"points":[[-12345678901234567890],[7]]}`, false},
+		{`{"points":[[-0,0,-1,9,-9,10,-10],[7]]}`, true},
+		{`{"points":[[01],[7]]}`, false},
+		{`{"points":[[-01],[7]]}`, false},
+		{`{"points":[[0123456,1],[7]]}`, false},
+		{`{"points":[[9223372036854775807,-9223372036854775808],[7]]}`, wide},
+		{`{"points":[[9223372036854775808],[7]]}`, false},
+		{`{"points":[[-9223372036854775809],[7]]}`, false},
+		{`{"points":[[12.5,1],[7]]}`, false},
+		{`{"points":[[12e3,1],[7]]}`, false},
+		{`{"points":[[-,1],[7]]}`, false},
+		{`{"points":[[-a,1],[7]]}`, false},
+		{`{"points":[[1-2],[7]]}`, false},
+		{`{"points":[[1],[7,1234567]]}`, true}, // the bracket in the loaded word's last byte
+		{`{"points":[[1],[7,-123456]]}`, true},
+		{`{"points":[[1],[7,123]]}`, true}, // the last literal starts in the last 8 bytes
+		{`{"points":[[1],[7,-12]]}`, true},
+		{`{"points":[[1],[7,12`, false}, // ends on its last literal
+		{`{"points":[[1],[-`, false},
+		{"{\"points\":[ [ 1 ,\t-2\n] ,[\r3, 4 ] , [ ] ]}", true},
+		{"{\"points\":[[1\v,2]]}", false}, // a control byte that is not JSON whitespace
+	}
+	lim := Limits{MaxBatch: 8}.withDefaults()
+	for _, c := range cases {
+		data := []byte(c.body)
+		var sc BinScratch
+		if _, scanned := scanBatch(data, lim.MaxBatch, &sc); scanned != c.scanned {
+			t.Errorf("scanBatch(%q) scanned = %v, want %v", c.body, scanned, c.scanned)
+			continue
+		}
+		req, win, err := DecodeBatchRequest(data, lim)
+		matchReference(t, data, lim, req, win, err)
 	}
 }
 
